@@ -70,6 +70,9 @@ def _check_unroll_once(system, final, k: int, semantics: str,
     encodings, which need at least one step)."""
     encoding = encode_unrolled(system, final, k, semantics,
                                polarity_reduction=polarity_reduction)
+    if not encoding.complete:        # a stop request cut encoding short
+        return BmcResult(SolveResult.UNKNOWN, None, k, "sat-unroll", 0.0,
+                         encoding.stats())
     solver = make_solver(solver_engine)
     solver.ensure_vars(encoding.cnf.num_vars)
     ok = solver.add_clauses(encoding.cnf.clauses)

@@ -20,15 +20,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..logic import expr as ex
-from ..logic.cnf import CNF, VarPool
 from ..logic.expr import Expr
-from ..logic.tseitin import TseitinEncoder
-from ..sat.kernel import make_solver
 from ..sat.types import Budget, SolveResult
 from ..system.model import TransitionSystem
 from .backend import BmcResult
 from .session import BmcSession
+from .unroll import Unrolling
 
 __all__ = ["longest_simple_path_reached", "verify_unbounded",
            "UnboundedResult"]
@@ -58,7 +55,8 @@ def longest_simple_path_reached(system: TransitionSystem, k: int,
     """True iff NO loop-free path of length ``k`` from init exists.
 
     One SAT query: init + k unrolled steps + pairwise state
-    distinctness.  Returns None if the budget ran out.
+    distinctness.  Returns None if the budget ran out or a stop
+    request cut the query short.
 
     ``k == 0`` degenerates to an init-satisfiability probe: a length-0
     path is just an initial state, so a system with unsatisfiable init
@@ -67,25 +65,11 @@ def longest_simple_path_reached(system: TransitionSystem, k: int,
     """
     if k < 0:
         return False
-    pool = VarPool()
-    cnf = CNF()
-    encoder = TseitinEncoder(cnf, pool)
-    frames = [[f"{v}@{i}" for v in system.state_vars]
-              for i in range(k + 1)]
-    encoder.assert_expr(system.rename_state_expr(system.init, frames[0]))
-    for i in range(k):
-        encoder.assert_expr(system.trans_between(frames[i], frames[i + 1],
-                                                 input_suffix=f"@{i}"))
-    for i in range(k + 1):
-        for j in range(i + 1, k + 1):
-            same = ex.equal_vectors([ex.var(n) for n in frames[i]],
-                                    [ex.var(n) for n in frames[j]])
-            encoder.assert_expr(ex.mk_not(same))
-    solver = make_solver()
-    solver.ensure_vars(max(cnf.num_vars, pool.num_vars))
-    if not solver.add_clauses(cnf.clauses):
-        return True
-    status = solver.solve(budget=budget)
+    unrolling = Unrolling(system)
+    if not unrolling.ensure_frames(k, budget):
+        return None
+    unrolling.assert_loop_free()
+    status, _ = unrolling.solve([], budget=budget)
     if status is SolveResult.UNKNOWN:
         return None
     return status is SolveResult.UNSAT

@@ -28,32 +28,29 @@ answered SAT).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..logic.cnf import CNF, VarPool
 from ..logic.expr import Expr
-from ..logic.tseitin import TseitinEncoder
-from ..sat.kernel import make_solver
-from ..sat.types import Budget, SolveResult, resolve_engine
+from ..sat.types import Budget, SolveResult
 from ..system.model import TransitionSystem
 from ..system.trace import Trace
-from ..telemetry.trace import current_tracer
 # The sweep record types and the shared ladder loop live with the
 # Backend protocol; re-exported here for the callers that historically
 # imported them from this module.
 from .backend import (BoundResult, SweepBudget, SweepResult,  # noqa: F401
                       drive_sweep, emit_bound)
+from .unroll import SOLVER_COUNTERS, Unrolling, low_driver
 
 __all__ = ["IncrementalBmc", "BoundResult", "SweepResult", "SweepBudget",
            "emit_bound"]
 
 
-def _frame_name(var: str, step: int) -> str:
-    return f"{var}@{step}"
-
-
-class IncrementalBmc:
+class IncrementalBmc(Unrolling):
     """Exact-k reachability over a growing unrolling, one solver for all.
+
+    The frames, the live solver and group retirement are the
+    :class:`~repro.bmc.unroll.Unrolling`'s; this class adds the
+    per-bound final-state groups and the sweep.
 
     Parameters
     ----------
@@ -86,84 +83,19 @@ class IncrementalBmc:
         stray = final.support() - set(system.state_vars)
         if stray:
             raise ValueError(f"final predicate uses non-state vars: {stray}")
-        self.system = system
+        super().__init__(system, polarity_reduction=polarity_reduction,
+                         purge_interval=purge_interval, solver=solver)
         self.final = final
-        self.polarity_reduction = polarity_reduction
-        self.purge_interval = max(1, purge_interval)
-        self.engine = resolve_engine(solver)
-        self.pool = VarPool()
-        self.cnf = CNF()
-        self.encoder = TseitinEncoder(self.cnf, self.pool,
-                                      polarity_reduction)
-        self.solver = make_solver(self.engine)
-        self._cursor = 0                       # clauses already in solver
         self._groups: Dict[int, int] = {}      # bound -> live group literal
-        self._retired_since_purge = 0
-        self.k = 0                             # transition frames encoded
         # Auxiliary driver answering bounds below self.k (see
-        # check_bound); grows ascending like any driver, so a sweep
-        # after a deep check reuses one encoding instead of building a
-        # throwaway per bound.
+        # check_bound and unroll.low_driver).
         self._low: Optional["IncrementalBmc"] = None
 
-        frame0 = [_frame_name(v, 0) for v in system.state_vars]
-        self._frames: List[List[str]] = [frame0]
-        self.encoder.assert_expr(
-            system.rename_state_expr(system.init, frame0))
-        for name in frame0:
-            self.pool.named(name)
-        self._flush()
-
-    # ------------------------------------------------------------------
-    # Clause streaming: encoder output -> live solver
-    # ------------------------------------------------------------------
-    def _flush(self) -> int:
-        """Feed newly encoded variables and clauses to the solver."""
-        self.solver.ensure_vars(max(self.cnf.num_vars, self.pool.num_vars))
-        new = self.cnf.clauses[self._cursor:]
-        self._cursor = len(self.cnf.clauses)
-        self.solver.add_clauses(new)
-        return len(new)
-
-    def extend(self) -> int:
-        """Add one transition frame TR(Z_k, Z_{k+1}); returns clauses added.
-
-        Everything previously encoded — init, earlier frames, learnt
-        clauses — stays in the solver untouched.
-        """
-        i = self.k
-        with current_tracer().span("encode.frame", frame=i + 1) as sp:
-            nxt = [_frame_name(v, i + 1) for v in self.system.state_vars]
-            self._frames.append(nxt)
-            step = self.system.trans_between(self._frames[i], nxt,
-                                             input_suffix=f"@{i}")
-            self.encoder.assert_expr(step)
-            for name in nxt:
-                self.pool.named(name)
-            for name in self.system.input_vars:
-                self.pool.named(_frame_name(name, i))
-            self.k += 1
-            added = self._flush()
-            sp.set(clauses=added)
-        return added
-
-    def _final_group(self, k: int) -> int:
-        """Group literal activating F(Z_k) (allocated on first use).
-
-        Group variables come from the shared pool so they can never
-        collide with frame variables allocated by later ``extend``s.
-        """
-        g = self._groups.get(k)
-        if g is not None:
-            return g
-        fin_k = self.system.rename_state_expr(self.final, self._frames[k])
-        lit = self.encoder.encode(fin_k)
-        self._flush()
-        g = self.pool.fresh(f"fin@{k}")
-        self.solver.ensure_vars(self.pool.num_vars)
-        self.solver.add_clause([-g, lit])
-        self._groups[k] = g
-        return g
+    def _twin(self) -> "IncrementalBmc":
+        return IncrementalBmc(self.system, self.final,
+                              polarity_reduction=self.polarity_reduction,
+                              purge_interval=self.purge_interval,
+                              solver=self.engine)
 
     # ------------------------------------------------------------------
     # Queries
@@ -174,41 +106,26 @@ class IncrementalBmc:
 
         Returns ``(status, trace, stats)``; the trace is the length-k
         witness on SAT.  The bound may be queried repeatedly; a bound
-        *below* the frames already encoded is answered by an auxiliary
-        driver (kept, and itself grown ascending, so e.g. a sweep after
-        a deep check reuses one encoding), because frames k+1..self.k
-        are asserted unconditionally and, for a transition relation
-        that is not total, would exclude witnesses whose final state
-        has no successor (spurious UNSAT).
+        *below* the frames already encoded is answered by the auxiliary
+        low driver (:func:`~repro.bmc.unroll.low_driver`).  UNKNOWN
+        without encoding further frames when a stop request or the
+        budget's armed deadline fires during encoding.
         """
         if k < 0:
             raise ValueError("bound k must be non-negative")
         if k < self.k:
-            low = self._low
-            if low is None or k < low.k:
-                # Replace rather than chain: a long-lived session must
-                # stay bounded at two drivers.  Monotone patterns (the
-                # advertised sweep-after-deep-check) reuse the one low
-                # driver ascending; a strictly descending probe pays
-                # one re-encode per step — the same cost as the
-                # pre-session per-call baseline, never more.
-                low = IncrementalBmc(
-                    self.system, self.final,
-                    polarity_reduction=self.polarity_reduction,
-                    purge_interval=self.purge_interval,
-                    solver=self.engine)
-                self._low = low
-            return low.check_bound(k, budget=budget)
+            self._low = low_driver(self._low, k, self._twin)
+            return self._low.check_bound(k, budget=budget)
         solver = self.solver
         clauses_before = solver.num_clauses()
         learnts_before = solver.num_learnts()
-        conflicts_before = solver.stats.conflicts
-        decisions_before = solver.stats.decisions
-        propagations_before = solver.stats.propagations
-        while self.k < k:
-            self.extend()
-        g = self._final_group(k)
-        status = solver.solve([g], budget=budget)
+        status = SolveResult.UNKNOWN
+        counters = dict.fromkeys(SOLVER_COUNTERS, 0)
+        if self.ensure_frames(k, budget):
+            g = self._groups.get(k)
+            if g is None:
+                g = self._groups[k] = self.activate(self.at(self.final, k))
+            status, counters = self.solve([g], budget=budget)
         trace = self.extract_trace(k) if status is SolveResult.SAT else None
         stats = {
             "trans_frames": self.k,
@@ -219,49 +136,24 @@ class IncrementalBmc:
             "vars": solver.num_vars,
             "db_literals": solver.stats.db_literals,
             "peak_db_literals": solver.stats.peak_db_literals,
-            "solver_conflicts": solver.stats.conflicts - conflicts_before,
-            "solver_decisions": solver.stats.decisions - decisions_before,
-            "solver_propagations":
-                solver.stats.propagations - propagations_before,
+            **counters,
         }
         return status, trace, stats
 
     def retire_bound(self, k: int) -> None:
         """Permanently disable bound k's final constraint.
 
-        Adds the unit ``-g_k`` — every clause carrying ``-g_k`` (the
-        constraint and all learnt clauses derived from it) becomes
-        satisfied at level 0 and is physically reclaimed on the next
-        purge, exactly as jSAT retires its blocking-clause groups.
-        Retirement always also reaches the auxiliary low-bound driver
-        (see :meth:`check_bound`): after an interleaving like
-        check_bound(3), check_bound(5), check_bound(3), BOTH drivers
-        hold a group for bound 3, and retiring only one would leave the
-        other's constraint clauses unreclaimable forever.
+        Retirement always also reaches the auxiliary low-bound driver:
+        after an interleaving like check_bound(3), check_bound(5),
+        check_bound(3), BOTH drivers hold a group for bound 3, and
+        retiring only one would leave the other's constraint clauses
+        unreclaimable forever.
         """
         if self._low is not None:
             self._low.retire_bound(k)
         g = self._groups.pop(k, None)
-        if g is None:
-            return
-        self.solver.add_clause([-g])
-        self._retired_since_purge += 1
-        if self._retired_since_purge >= self.purge_interval:
-            self.solver.purge_satisfied()
-            self._retired_since_purge = 0
-
-    def extract_trace(self, k: int) -> Trace:
-        """Rebuild the witness path for bound k from the last model."""
-        model_value = self.solver.model_value
-        states = [
-            {v: bool(model_value(self.pool.named(_frame_name(v, i))))
-             for v in self.system.state_vars}
-            for i in range(k + 1)]
-        inputs = [
-            {v: bool(model_value(self.pool.named(_frame_name(v, i))))
-             for v in self.system.input_vars}
-            for i in range(k)]
-        return Trace(states, inputs)
+        if g is not None:
+            self.retire(g)
 
     # ------------------------------------------------------------------
     def sweep(self, max_k: int, budget: Budget | None = None,
@@ -281,12 +173,3 @@ class IncrementalBmc:
         return drive_sweep("sat-incremental", max_k, range(max_k + 1),
                            check, budget=budget, on_bound=on_bound,
                            after_unsat=self.retire_bound)
-
-    # ------------------------------------------------------------------
-    def resident_literals(self) -> int:
-        """Current clause-database size in literals."""
-        return self.solver.stats.db_literals
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"IncrementalBmc({self.system.name!r}, frames={self.k}, "
-                f"clauses={self.solver.num_clauses()})")

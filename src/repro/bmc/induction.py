@@ -10,23 +10,21 @@ Temporal induction (Sheeran, Singh & Stålmarck): a safety property
 
 Increasing k makes the step obligation strictly weaker, so iterating
 k = 0, 1, 2, ... yields a complete procedure for finite systems — at
-the cost of the same unrolled-formula growth the paper attacks, which
-is why this module reuses the formula (1) machinery and shows up in
-the memory experiment E6 as a consumer.
+the cost of the same unrolled-formula growth the paper attacks.
+:func:`prove_by_induction` is the one-shot form of the ``k-induction``
+backend (:class:`repro.bmc.provers.KInductionBackend`), which grows
+both cases incrementally on :class:`repro.bmc.unroll.Unrolling`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
-from ..logic import expr as ex
-from ..logic.cnf import CNF, VarPool
 from ..logic.expr import Expr
-from ..logic.tseitin import TseitinEncoder
-from ..sat.kernel import make_solver
 from ..sat.types import Budget, SolveResult
 from ..system.model import TransitionSystem
 from ..system.trace import Trace
+from .provers import KInductionBackend
 
 __all__ = ["InductionResult", "prove_by_induction"]
 
@@ -49,146 +47,24 @@ class InductionResult:
         return f"InductionResult({self.status!r}, k={self.k})"
 
 
-def _frame(names: List[str], i: int) -> List[str]:
-    return [f"{v}@{i}" for v in names]
-
-
-def _register_frames(pool: VarPool, system: TransitionSystem,
-                     n_states: int, n_inputs: int) -> None:
-    """Register every frame variable in the pool *before* solving.
-
-    The CDCL solver only reports SAT once every variable it knows about
-    is assigned, so registering the frame bits up front guarantees the
-    model covers them all with TR-consistent values.  Without this, a
-    variable the encoder simplified away (e.g. an input no frame
-    constrains) would be allocated fresh by ``pool.named`` *after* the
-    solve and read back as ``None`` — silently coerced to ``False``.
-    """
-    for i in range(n_states):
-        for v in system.state_vars:
-            pool.named(f"{v}@{i}")
-    for i in range(n_inputs):
-        for v in system.input_vars:
-            pool.named(f"{v}@{i}")
-
-
-def _model_bit(solver, pool: VarPool, name: str) -> bool:
-    """Read one named bit from the model via ``pool.lookup``.
-
-    Never allocates: a name absent from the pool (impossible after
-    :func:`_register_frames`, kept for robustness) defaults to False.
-    """
-    var = pool.lookup(name)
-    if var is None:
-        return False
-    value = solver.model_value(var)
-    return bool(value) if value is not None else False
-
-
-def _encode_path(system: TransitionSystem, k: int, encoder: TseitinEncoder,
-                 constrain_init: bool) -> None:
-    frames = [_frame(system.state_vars, i) for i in range(k + 1)]
-    if constrain_init:
-        encoder.assert_expr(
-            system.rename_state_expr(system.init, frames[0]))
-    for i in range(k):
-        encoder.assert_expr(
-            system.trans_between(frames[i], frames[i + 1],
-                                 input_suffix=f"@{i}"))
-
-
-def _base_case(system: TransitionSystem, bad: Expr, k: int,
-               budget: Budget | None) -> Tuple[SolveResult, Optional[Trace]]:
-    """SAT iff some path of length <= k from init hits bad."""
-    pool = VarPool()
-    cnf = CNF()
-    encoder = TseitinEncoder(cnf, pool)
-    _encode_path(system, k, encoder, constrain_init=True)
-    encoder.assert_expr(ex.disjoin(
-        system.rename_state_expr(bad, _frame(system.state_vars, i))
-        for i in range(k + 1)))
-    _register_frames(pool, system, k + 1, k)
-    solver = make_solver()
-    solver.ensure_vars(max(cnf.num_vars, pool.num_vars))
-    if not solver.add_clauses(cnf.clauses):
-        return SolveResult.UNSAT, None
-    status = solver.solve(budget=budget)
-    if status is not SolveResult.SAT:
-        return status, None
-    states = []
-    for i in range(k + 1):
-        states.append({v: _model_bit(solver, pool, f"{v}@{i}")
-                       for v in system.state_vars})
-    inputs = []
-    for i in range(k):
-        inputs.append({v: _model_bit(solver, pool, f"{v}@{i}")
-                       for v in system.input_vars})
-    trace = Trace(states, inputs)
-    # Cut at the first bad state.
-    for i, state in enumerate(trace.states):
-        if bad.evaluate(state):
-            trace = Trace(trace.states[:i + 1], trace.inputs[:i])
-            break
-    return SolveResult.SAT, trace
-
-
-def _step_case(system: TransitionSystem, bad: Expr, k: int,
-               budget: Budget | None) -> SolveResult:
-    """UNSAT iff k consecutive good states always yield a good successor.
-
-    Loop-free ("simple path") side constraints make the method complete.
-    """
-    pool = VarPool()
-    cnf = CNF()
-    encoder = TseitinEncoder(cnf, pool)
-    _encode_path(system, k + 1, encoder, constrain_init=False)
-    good = ex.mk_not(bad)
-    for i in range(k + 1):
-        encoder.assert_expr(
-            system.rename_state_expr(good, _frame(system.state_vars, i)))
-    encoder.assert_expr(
-        system.rename_state_expr(bad, _frame(system.state_vars, k + 1)))
-    # Pairwise distinctness of the k+2 states.
-    for i in range(k + 2):
-        for j in range(i + 1, k + 2):
-            same = ex.equal_vectors(
-                [ex.var(n) for n in _frame(system.state_vars, i)],
-                [ex.var(n) for n in _frame(system.state_vars, j)])
-            encoder.assert_expr(ex.mk_not(same))
-    solver = make_solver()
-    solver.ensure_vars(max(cnf.num_vars, pool.num_vars))
-    if not solver.add_clauses(cnf.clauses):
-        return SolveResult.UNSAT
-    return solver.solve(budget=budget)
-
-
 def prove_by_induction(system: TransitionSystem, bad: Expr,
                        max_k: int = 32,
                        budget: Budget | None = None) -> InductionResult:
     """Prove ``bad`` unreachable (or find a counterexample) by
     k-induction with loop-free strengthening.
 
-    Returns "proved", "cex" (with a validated trace), or "unknown" when
-    ``max_k`` or the budget runs out.
+    Returns "proved", "cex" (with a validated, shortest trace), or
+    "unknown" when ``max_k`` or the budget runs out.
     """
-    stray = bad.support() - set(system.state_vars)
-    if stray:
-        raise ValueError(f"bad predicate uses non-state vars: {stray}")
-    if budget is not None:
-        budget.arm()        # one wall-clock slice shared by all bounds
-    for k in range(max_k + 1):
-        if budget is not None and budget.expired():
-            return InductionResult("unknown", k)
-        base, trace = _base_case(system, bad, k, budget)
-        if base is SolveResult.SAT:
-            assert trace is not None
-            trace.validate(system, bad)
-            return InductionResult("cex", k, trace)
-        if base is SolveResult.UNKNOWN:
-            return InductionResult("unknown", k)
-        step = _step_case(system, bad, k, budget)
-        if step is SolveResult.UNSAT:
-            return InductionResult("proved", k)
-        if step is SolveResult.UNKNOWN:
-            return InductionResult("unknown", k)
-    return InductionResult("unknown", max_k)
+    backend = KInductionBackend(system, bad)
+    try:
+        result = backend.check(max_k, semantics="within", budget=budget)
+    finally:
+        backend.close()
+    k = result.stats["induction_rungs"] - 1
+    if result.status is SolveResult.SAT:
+        result.trace.validate(system, bad)
+        return InductionResult("cex", k, result.trace)
+    if result.proved:
+        return InductionResult("proved", k)
+    return InductionResult("unknown", k)

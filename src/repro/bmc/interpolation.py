@@ -23,7 +23,7 @@ of the fixpoint and progress of the outer loop.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..logic import expr as ex
 from ..logic.cnf import CNF, VarPool
@@ -35,7 +35,8 @@ from ..sat.proof import ResolutionProof
 from ..sat.types import Budget, SolveResult
 from ..system.model import TransitionSystem
 from ..system.trace import Trace
-from .induction import _model_bit, _register_frames
+from .unroll import frame_name, read_trace, register_frame, state_frame, \
+    transition
 
 __all__ = ["InterpolationResult", "prove_by_interpolation"]
 
@@ -55,10 +56,6 @@ class InterpolationResult:
     def __repr__(self) -> str:  # pragma: no cover
         return (f"InterpolationResult({self.status!r}, k={self.k}, "
                 f"iterations={self.iterations})")
-
-
-def _frame(system: TransitionSystem, i: int) -> List[str]:
-    return [f"{v}@{i}" for v in system.state_vars]
 
 
 def _implies(antecedent: Expr, consequent: Expr) -> bool:
@@ -81,18 +78,15 @@ def _bounded_query(system: TransitionSystem, reach: Expr, bad: Expr,
     solver = make_solver(proof=proof)
     pool = VarPool()
     # Register every frame bit up front so a SAT model covers them all
-    # (the solver assigns every known variable TR-consistently); see
-    # induction._register_frames for why extraction must never call
-    # ``pool.named`` after the solve.
-    _register_frames(pool, system, k + 1, k)
+    # (see unroll.register_frame).
+    for i in range(k + 1):
+        register_frame(pool, system, i)
 
     # --- A: R(Z0) ∧ TR(Z0, Z1), with its own Tseitin namespace.
     a_cnf = CNF()
     enc_a = TseitinEncoder(a_cnf, pool)
-    enc_a.assert_expr(system.rename_state_expr(reach, _frame(system, 0)))
-    enc_a.assert_expr(system.trans_between(_frame(system, 0),
-                                           _frame(system, 1),
-                                           input_suffix="@0"))
+    enc_a.assert_expr(system.rename_state_expr(reach, state_frame(system, 0)))
+    enc_a.assert_expr(transition(system, 0))
     solver.ensure_vars(max(a_cnf.num_vars, pool.num_vars))
     a_ids_start = len(proof)
     solver.add_clauses(a_cnf.clauses)
@@ -104,11 +98,9 @@ def _bounded_query(system: TransitionSystem, reach: Expr, bad: Expr,
     b_cnf = CNF(pool.num_vars)
     enc_b = TseitinEncoder(b_cnf, pool)
     for i in range(1, k):
-        enc_b.assert_expr(system.trans_between(_frame(system, i),
-                                               _frame(system, i + 1),
-                                               input_suffix=f"@{i}"))
+        enc_b.assert_expr(transition(system, i))
     enc_b.assert_expr(ex.disjoin(
-        system.rename_state_expr(bad, _frame(system, i))
+        system.rename_state_expr(bad, state_frame(system, i))
         for i in range(1, k + 1)))
     solver.ensure_vars(max(b_cnf.num_vars, pool.num_vars))
     b_ids_start = len(proof)
@@ -118,20 +110,8 @@ def _bounded_query(system: TransitionSystem, reach: Expr, bad: Expr,
     status = solver.solve(budget=budget) if ok and solver.ok else \
         SolveResult.UNSAT
     if status is SolveResult.SAT:
-        states = []
-        for i in range(k + 1):
-            states.append({v: _model_bit(solver, pool, f"{v}@{i}")
-                           for v in system.state_vars})
-        inputs = []
-        for i in range(k):
-            inputs.append({v: _model_bit(solver, pool, f"{v}@{i}")
-                           for v in system.input_vars})
-        trace = Trace(states, inputs)
-        for i, state in enumerate(trace.states):
-            if bad.evaluate(state):
-                trace = Trace(trace.states[:i + 1], trace.inputs[:i])
-                break
-        return status, None, trace
+        trace = read_trace(system, pool, solver.model_value, k)
+        return status, None, trace.shorten_to(bad)
     if status is SolveResult.UNKNOWN:
         return status, None, None
 
@@ -140,7 +120,7 @@ def _bounded_query(system: TransitionSystem, reach: Expr, bad: Expr,
         var_name=lambda v: pool.name_of(v) or f"?{v}")
     # The interpolant ranges over the shared variables = Z1 bits;
     # rename them back to plain state variables.
-    rename = {f"{v}@1": v for v in system.state_vars}
+    rename = {frame_name(v, 1): v for v in system.state_vars}
     stray = itp.support() - set(rename)
     if stray:
         raise AssertionError(

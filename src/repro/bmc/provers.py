@@ -35,12 +35,11 @@ winning proof exactly as it replays a falsifier's witness trace.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..logic import expr as ex
-from ..logic.cnf import CNF, VarPool
 from ..logic.expr import Expr
-from ..logic.tseitin import TseitinEncoder, expr_to_cnf
+from ..logic.tseitin import expr_to_cnf
 from ..sat.kernel import make_solver
 from ..sat.types import Budget, SolveResult
 from ..system.model import TransitionSystem
@@ -49,13 +48,11 @@ from .backend import (Backend, BackendOptions, BmcResult, OnBound,
                       SweepResult, drive_sweep, register_backend)
 from .incremental import IncrementalBmc
 from .interpolation import _bounded_query, _implies
+from .unroll import SOLVER_COUNTERS, Unrolling, state_frame, transition
 
 __all__ = ["KInductionBackend", "InterpolationBackend", "DiameterBackend",
            "KInductionOptions", "InterpolationOptions", "DiameterOptions",
            "validate_invariant"]
-
-_COUNTER_KEYS = ("solver_conflicts", "solver_decisions",
-                 "solver_propagations")
 
 
 def validate_invariant(system: TransitionSystem, bad: Expr,
@@ -72,14 +69,13 @@ def validate_invariant(system: TransitionSystem, bad: Expr,
     prover that produced the invariant — the proof-side analogue of
     replaying a counterexample trace.
     """
-    f0 = [f"{v}@0" for v in system.state_vars]
-    f1 = [f"{v}@1" for v in system.state_vars]
+    f0, f1 = state_frame(system, 0), state_frame(system, 1)
     queries = (
         ex.mk_and(system.init, ex.mk_not(invariant)),
         ex.mk_and(invariant, bad),
         ex.mk_and(
             ex.mk_and(system.rename_state_expr(invariant, f0),
-                      system.trans_between(f0, f1, input_suffix="@0")),
+                      transition(system, 0)),
             system.rename_state_expr(ex.mk_not(invariant), f1)),
     )
     for query in queries:
@@ -94,94 +90,8 @@ def validate_invariant(system: TransitionSystem, bad: Expr,
 
 
 def _accumulate(totals: Dict[str, int], stats: Dict[str, int]) -> None:
-    for key in _COUNTER_KEYS:
+    for key in SOLVER_COUNTERS:
         totals[key] = totals.get(key, 0) + stats.get(key, 0)
-
-
-class _StepEngine:
-    """Incremental k-induction step case: one solver for every rung.
-
-    Frames, TR links, pairwise distinctness and the good-state
-    constraints are permanent and grow monotonically with the rung;
-    the single per-rung obligation that must *flip* — bad at the last
-    frame, good once the next rung subsumes it — is activated through
-    a retractable assumption group, the same idiom
-    :class:`IncrementalBmc` uses for its final-state constraints.
-    Rungs must ascend (the ladder always does); the owning backend
-    rebuilds the engine rather than ever querying downward.
-    """
-
-    def __init__(self, system: TransitionSystem, bad: Expr,
-                 solver: Optional[str] = None) -> None:
-        self.system = system
-        self.bad = bad
-        self.good = ex.mk_not(bad)
-        self.pool = VarPool()
-        self.cnf = CNF()
-        self.encoder = TseitinEncoder(self.cnf, self.pool)
-        self.solver = make_solver(solver)
-        self._cursor = 0
-        self._frames: List[List[str]] = [
-            [f"{v}@0" for v in system.state_vars]]
-        for name in self._frames[0]:
-            self.pool.named(name)
-        self.top = 0                   # highest frame index encoded
-        self._good_upto = -1           # highest frame with good asserted
-        self.served = -1               # highest rung answered
-        self._flush()
-
-    def _flush(self) -> None:
-        self.solver.ensure_vars(max(self.cnf.num_vars, self.pool.num_vars))
-        new = self.cnf.clauses[self._cursor:]
-        self._cursor = len(self.cnf.clauses)
-        self.solver.add_clauses(new)
-
-    def _extend(self) -> None:
-        """Add frame top+1: names, the TR link, and distinctness
-        against every earlier frame (the loop-free side constraints
-        that make temporal induction complete)."""
-        i = self.top
-        nxt = [f"{v}@{i + 1}" for v in self.system.state_vars]
-        self.encoder.assert_expr(
-            self.system.trans_between(self._frames[i], nxt,
-                                      input_suffix=f"@{i}"))
-        for earlier in self._frames:
-            same = ex.equal_vectors([ex.var(n) for n in earlier],
-                                    [ex.var(n) for n in nxt])
-            self.encoder.assert_expr(ex.mk_not(same))
-        self._frames.append(nxt)
-        for name in nxt:
-            self.pool.named(name)
-        self.top += 1
-        self._flush()
-
-    def query(self, k: int, budget: Budget | None
-              ) -> Tuple[SolveResult, Dict[str, int]]:
-        """step(k): UNSAT iff k+1 loop-free good states never reach a
-        bad successor — together with base(k) that is a proof."""
-        assert k == self.served + 1, "step engine serves ascending rungs"
-        while self.top < k + 1:
-            self._extend()
-        for i in range(self._good_upto + 1, k + 1):
-            self.encoder.assert_expr(
-                self.system.rename_state_expr(self.good, self._frames[i]))
-        self._good_upto = k
-        bad_lit = self.encoder.encode(
-            self.system.rename_state_expr(self.bad, self._frames[k + 1]))
-        self._flush()
-        g = self.pool.fresh(f"step-bad@{k + 1}")
-        self.solver.ensure_vars(self.pool.num_vars)
-        self.solver.add_clause([-g, bad_lit])
-        before = self.solver.stats.as_dict()
-        status = (self.solver.solve([g], budget=budget)
-                  if self.solver.ok else SolveResult.UNSAT)
-        after = self.solver.stats.as_dict()
-        # Retire the bad obligation: the next rung asserts good here.
-        self.solver.add_clause([-g])
-        self.served = k
-        stats = {f"solver_{key}": after[key] - before[key]
-                 for key in ("conflicts", "decisions", "propagations")}
-        return status, stats
 
 
 # ----------------------------------------------------------------------
@@ -239,9 +149,13 @@ class KInductionBackend(_ProverBackend):
 
     Rung k runs base(k) — one exact-k query on the persistent
     :class:`IncrementalBmc` ladder, earlier bounds having been refuted
-    and retired on earlier rungs — then step(k) on the incremental
-    :class:`_StepEngine`.  An UNSAT step closes an unbounded proof;
-    the loop-free distinctness constraints make the pair complete for
+    and retired on earlier rungs — then step(k) on one incremental
+    step-case :class:`~repro.bmc.unroll.Unrolling` without init.  Its
+    frames, loop-free distinctness and good-state constraints grow
+    monotonically with the rung; the one obligation that must *flip* —
+    bad at the last frame, good once the next rung subsumes it — is a
+    retractable assumption group.  An UNSAT step closes an unbounded
+    proof; the distinctness constraints make the pair complete for
     finite systems.
     """
 
@@ -251,7 +165,8 @@ class KInductionBackend(_ProverBackend):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._base: Optional[IncrementalBmc] = None
-        self._step: Optional[_StepEngine] = None
+        self._step: Optional[Unrolling] = None
+        self._good_upto = -1          # highest step frame asserted good
         self._refuted = -1            # every exact-i <= this is UNSAT
 
     @property
@@ -263,12 +178,29 @@ class KInductionBackend(_ProverBackend):
                 solver=self.options.solver)
         return self._base
 
-    @property
-    def step(self) -> _StepEngine:
+    def _step_case(self, k: int, budget: Budget | None
+                   ) -> Tuple[SolveResult, Dict[str, int]]:
+        """step(k): UNSAT iff k+1 loop-free good states never reach a
+        bad successor — together with base(k) that is a proof.  Rungs
+        must ascend (the ladder always does)."""
         if self._step is None:
-            self._step = _StepEngine(self.system, self.final,
-                                     solver=self.options.solver)
-        return self._step
+            self._step = Unrolling(
+                self.system, init=False,
+                purge_interval=self.options.purge_interval,
+                solver=self.options.solver)
+        step = self._step
+        if not step.ensure_frames(k + 1, budget):
+            return SolveResult.UNKNOWN, {}
+        step.assert_loop_free()
+        good = ex.mk_not(self.final)
+        for i in range(self._good_upto + 1, k + 1):
+            step.encoder.assert_expr(step.at(good, i))
+        self._good_upto = k
+        group = step.activate(step.at(self.final, k + 1))
+        status, stats = step.solve([group], budget=budget)
+        # Retire the bad obligation: the next rung asserts good here.
+        step.retire(group)
+        return status, stats
 
     def check(self, k: int, semantics: str = "within",
               budget: Budget | None = None) -> BmcResult:
@@ -293,7 +225,7 @@ class KInductionBackend(_ProverBackend):
                                    self._stats(totals, rungs))
             self.base.retire_bound(i)
             self._refuted = i
-            step_status, step_stats = self.step.query(i, budget)
+            step_status, step_stats = self._step_case(i, budget)
             _accumulate(totals, step_stats)
             if step_status is SolveResult.UNSAT:
                 self._proved = True
@@ -316,6 +248,7 @@ class KInductionBackend(_ProverBackend):
     def close(self) -> None:
         self._base = None
         self._step = None
+        self._good_upto = -1
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from ..logic.expr import Expr
 from ..logic.tseitin import TseitinEncoder
 from ..qbf.pcnf import PCNF
 from ..system.model import TransitionSystem
+from .unroll import frame_name, state_frame
 
 __all__ = ["QbfEncoding", "encode_qbf"]
 
@@ -54,7 +55,7 @@ class QbfEncoding:
 
     # ------------------------------------------------------------------
     def _z_names(self, step: int) -> List[str]:
-        return [f"{v}@{step}" for v in self.system.state_vars]
+        return state_frame(self.system, step)
 
     def _u_names(self) -> List[str]:
         return [f"{v}#U" for v in self.system.state_vars]
@@ -114,7 +115,7 @@ class QbfEncoding:
     # ------------------------------------------------------------------
     def state_var(self, name: str, step: int) -> int:
         """Matrix variable of state bit ``name`` at the given step."""
-        return self.pool.named(f"{name}@{step}")
+        return self.pool.named(frame_name(name, step))
 
     def extract_states(self, assignment: Dict[int, bool]
                        ) -> List[Dict[str, bool]]:

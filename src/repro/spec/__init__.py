@@ -24,7 +24,7 @@ from .ltl import compile_search, needs_loop_closure
 from .parse import SpecError, parse_spec
 from .eval import check_explicit, holds_on_path, witness_exists
 from .checker import (OnPropertyBound, PropertyChecker, PropertyResult,
-                      SharedUnrolling, normalize_properties)
+                      normalize_properties)
 
 __all__ = [
     # AST
@@ -40,6 +40,6 @@ __all__ = [
     # Explicit ground truth
     "check_explicit", "holds_on_path", "witness_exists",
     # The multi-property engine
-    "PropertyChecker", "PropertyResult", "SharedUnrolling",
-    "normalize_properties", "OnPropertyBound",
+    "PropertyChecker", "PropertyResult", "normalize_properties",
+    "OnPropertyBound",
 ]

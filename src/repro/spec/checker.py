@@ -2,10 +2,10 @@
 
 The expensive object in BMC is the unrolled transition formula
 I(s_0) ∧ TR(s_0,s_1) ∧ ... ∧ TR(s_{k-1},s_k) — the paper's whole
-argument.  :class:`SharedUnrolling` encodes it exactly once into one
-long-lived incremental CDCL solver (one Tseitin frame per step, like
-:class:`repro.bmc.incremental.IncrementalBmc`), and every *property*
-rides on top as a retractable constraint:
+argument.  One :class:`repro.bmc.unroll.Unrolling` per cone encodes it
+exactly once into one long-lived incremental CDCL solver (one Tseitin
+frame per step, the same class :class:`repro.bmc.incremental.IncrementalBmc`
+grows), and every *property* rides on top as a retractable constraint:
 
 * the property's per-bound witness formula (:mod:`repro.spec.ltl`)
   is Tseitin-encoded and attached through an assumption *group
@@ -36,12 +36,9 @@ shortening, or anything downstream sees them.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Mapping, Optional, Sequence
 
-from ..logic.cnf import CNF, VarPool
 from ..logic.expr import Expr
-from ..logic.tseitin import TseitinEncoder
-from ..sat.kernel import make_solver
 from ..sat.types import Budget, SolveResult, resolve_engine
 from ..system.model import TransitionSystem
 from ..system.trace import Trace, TraceError
@@ -52,17 +49,13 @@ from .ltl import (compile_search, loop_conditions_for, loop_input_name,
 from .property import (Property, Verdict, as_property, reachability_target,
                        search_plan, support)
 
-__all__ = ["PropertyResult", "SharedUnrolling", "PropertyChecker",
+__all__ = ["PropertyResult", "PropertyChecker",
            "normalize_properties", "OnPropertyBound"]
 
 #: Observer for per-(property, bound) progress during sweeps:
 #: ``on_bound(name, bound_result)`` with a
 #: :class:`repro.bmc.backend.BoundResult` record.
 OnPropertyBound = Callable[[str, object], None]
-
-
-def _frame_name(var: str, step: int) -> str:
-    return f"{var}@{step}"
 
 
 def normalize_properties(properties) -> Dict[str, Property]:
@@ -155,134 +148,14 @@ class PropertyResult:
 
 
 # ----------------------------------------------------------------------
-class SharedUnrolling:
-    """One growing I ∧ TR^k encoding inside one incremental solver.
-
-    Frames are only ever appended; per-query constraints attach through
-    assumption groups (:meth:`activate` / :meth:`retire`), so the
-    clause database carries every frame and every surviving learnt
-    clause across all properties and bounds of the session.
-    """
-
-    def __init__(self, system: TransitionSystem,
-                 purge_interval: int = 4,
-                 solver: Optional[str] = None) -> None:
-        self.system = system
-        self.purge_interval = max(1, purge_interval)
-        self.engine = resolve_engine(solver)
-        self.pool = VarPool()
-        self.cnf = CNF()
-        self.encoder = TseitinEncoder(self.cnf, self.pool, False)
-        self.solver = make_solver(self.engine)
-        self._cursor = 0
-        self._retired_since_purge = 0
-        self.k = 0
-        frame0 = [_frame_name(v, 0) for v in system.state_vars]
-        self._frames: List[List[str]] = [frame0]
-        self.encoder.assert_expr(
-            system.rename_state_expr(system.init, frame0))
-        for name in frame0:
-            self.pool.named(name)
-        self._flush()
-
-    # ------------------------------------------------------------------
-    def _flush(self) -> None:
-        self.solver.ensure_vars(max(self.cnf.num_vars, self.pool.num_vars))
-        new = self.cnf.clauses[self._cursor:]
-        self._cursor = len(self.cnf.clauses)
-        self.solver.add_clauses(new)
-
-    def ensure_frames(self, k: int) -> None:
-        """Grow the unrolling to k transition frames (append-only)."""
-        tracer = current_tracer()
-        while self.k < k:
-            i = self.k
-            with tracer.span("encode.frame", frame=i + 1):
-                nxt = [_frame_name(v, i + 1)
-                       for v in self.system.state_vars]
-                self._frames.append(nxt)
-                step = self.system.trans_between(self._frames[i], nxt,
-                                                 input_suffix=f"@{i}")
-                self.encoder.assert_expr(step)
-                for name in nxt:
-                    self.pool.named(name)
-                for name in self.system.input_vars:
-                    self.pool.named(_frame_name(name, i))
-                self.k += 1
-                self._flush()
-
-    def frames_upto(self, k: int) -> List[List[str]]:
-        """Frame variable names for steps 0..k (frames grown on demand)."""
-        self.ensure_frames(k)
-        return self._frames[:k + 1]
-
-    # ------------------------------------------------------------------
-    def activate(self, constraint: Expr) -> int:
-        """Attach a retractable constraint; returns its group literal.
-
-        The Tseitin definitions are asserted unconditionally (they
-        never constrain the original variables); only the top literal
-        is guarded, so the constraint bites exactly while its group is
-        assumed.
-        """
-        lit = self.encoder.encode(constraint)
-        self._flush()
-        group = self.pool.fresh("spec-group")
-        self.solver.ensure_vars(self.pool.num_vars)
-        self.solver.add_clause([-group, lit])
-        return group
-
-    def retire(self, group: int) -> None:
-        """Permanently disable a group (jSAT-style retirement)."""
-        self.solver.add_clause([-group])
-        self._retired_since_purge += 1
-        if self._retired_since_purge >= self.purge_interval:
-            self.solver.purge_satisfied()
-            self._retired_since_purge = 0
-
-    def solve(self, assumptions: Sequence[int],
-              budget: Budget | None = None) -> SolveResult:
-        """Solve the unrolling under the given assumption literals."""
-        return self.solver.solve(list(assumptions), budget=budget)
-
-    # ------------------------------------------------------------------
-    def extract_trace(self, k: int) -> Trace:
-        """The length-k path of the last SAT model."""
-        model_value = self.solver.model_value
-        states = [
-            {v: bool(model_value(self.pool.named(_frame_name(v, i))))
-             for v in self.system.state_vars}
-            for i in range(k + 1)]
-        inputs = [
-            {v: bool(model_value(self.pool.named(_frame_name(v, i))))
-             for v in self.system.input_vars}
-            for i in range(k)]
-        return Trace(states, inputs)
-
-    def extract_loop_inputs(self) -> Dict[str, bool]:
-        """Input valuation of the lasso back-edge in the last model."""
-        model_value = self.solver.model_value
-        return {v: bool(model_value(self.pool.named(loop_input_name(v))))
-                for v in self.system.input_vars}
-
-    def resident_literals(self) -> int:
-        """Clause-database literals currently resident in the solver."""
-        return self.solver.stats.db_literals
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"SharedUnrolling({self.system.name!r}, frames={self.k}, "
-                f"clauses={self.solver.num_clauses()})")
-
-
-# ----------------------------------------------------------------------
 class _Cone:
     """One reduced cone and its unrollings, shared by every property
     whose reduction produced the same cone key.
 
     Owns the :class:`~repro.reduce.ReducedSystem` (identity when
     reduction is off or inert) plus the cone's main and auxiliary
-    low-bound :class:`SharedUnrolling` instances — the two-driver
-    policy of ``IncrementalBmc.check_bound``, kept per cone.
+    low-bound :class:`~repro.bmc.unroll.Unrolling` — the two-driver
+    policy of :func:`~repro.bmc.unroll.low_driver`, kept per cone.
     """
 
     def __init__(self, reduction, purge_interval: int,
@@ -291,32 +164,21 @@ class _Cone:
         self.system: TransitionSystem = reduction.system
         self.purge_interval = purge_interval
         self.engine = resolve_engine(solver)
-        self._shared: Optional[SharedUnrolling] = None
-        self._low: Optional[SharedUnrolling] = None
+        self._shared: Optional[Unrolling] = None
+        self._low: Optional[Unrolling] = None
 
-    def unrolling_for(self, k: int) -> SharedUnrolling:
-        """The cone's shared unrolling, or the auxiliary low one.
+    def _unrolling(self) -> Unrolling:
+        return Unrolling(self.system, purge_interval=self.purge_interval,
+                         solver=self.engine)
 
-        Frames beyond the queried bound are asserted unconditionally,
-        which for a non-total TR could exclude witnesses whose final
-        state has no successor — so a query *below* the frames already
-        encoded is answered by a second, lower unrolling that itself
-        only ever grows (the ``IncrementalBmc.check_bound`` policy:
-        the cone stays bounded at two encodings, a monotone re-sweep
-        reuses the low driver ascending until it rejoins the shared
-        one, and only a strictly descending probe pays a rebuild).
-        """
+    def unrolling_for(self, k: int) -> Unrolling:
+        """The cone's shared unrolling, or the auxiliary low one when
+        ``k`` is below the shared unrolling's frames."""
         if self._shared is None:
-            self._shared = SharedUnrolling(self.system,
-                                           self.purge_interval,
-                                           solver=self.engine)
+            self._shared = self._unrolling()
         if k < self._shared.k:
-            low = self._low
-            if low is None or k < low.k:
-                low = SharedUnrolling(self.system, self.purge_interval,
-                                      solver=self.engine)
-                self._low = low
-            return low
+            self._low = low_driver(self._low, k, self._unrolling)
+            return self._low
         return self._shared
 
     def close(self) -> None:
@@ -675,21 +537,24 @@ class PropertyChecker:
                 return result
         formula, universal = search_plan(mapped)
         unrolling = cone.unrolling_for(k)
-        frames = unrolling.frames_upto(k)
+        if not unrolling.ensure_frames(k, budget):
+            return PropertyResult(name, prop, Verdict.UNKNOWN, False,
+                                  SolveResult.UNKNOWN, k, None,
+                                  time.perf_counter() - start, {})
+        frames = unrolling.frames[:k + 1]
         loops = None
         if needs_loop_closure(formula):
             loops = loop_conditions_for(system, frames)
         witness_expr = compile_search(formula, system, frames, loops)
-        solver = unrolling.solver
-        before = (solver.stats.conflicts, solver.stats.decisions,
-                  solver.stats.propagations)
         group = unrolling.activate(witness_expr)
-        status = unrolling.solve([group], budget=budget)
+        status, counters = unrolling.solve([group], budget=budget)
         trace = None
         if status is SolveResult.SAT:
             trace = unrolling.extract_trace(k)
-            loop_inputs = (unrolling.extract_loop_inputs()
-                           if loops is not None else None)
+            loop_inputs = None
+            if loops is not None:
+                loop_inputs = {v: unrolling.model_bit(loop_input_name(v))
+                               for v in system.input_vars}
             if self.validate:
                 # The bounded path semantics (lasso back-edge included)
                 # hold over the cone the witness was found in ...
@@ -704,6 +569,7 @@ class PropertyChecker:
             if target is not None:
                 trace = trace.shorten_to(target)
         unrolling.retire(group)
+        solver = unrolling.solver
         stats = {
             "trans_frames": unrolling.k,
             "witness_size": witness_expr.size(),
@@ -711,9 +577,7 @@ class PropertyChecker:
             "vars": solver.num_vars,
             "clauses": solver.num_clauses(),
             "db_literals": solver.stats.db_literals,
-            "solver_conflicts": solver.stats.conflicts - before[0],
-            "solver_decisions": solver.stats.decisions - before[1],
-            "solver_propagations": solver.stats.propagations - before[2],
+            **counters,
         }
         if not reduction.is_identity:
             stats["latches_before"] = len(self.system.state_vars)
@@ -816,3 +680,11 @@ class PropertyChecker:
     def __repr__(self) -> str:  # pragma: no cover
         return (f"PropertyChecker({self.system.name!r}, "
                 f"properties={sorted(self.properties)})")
+
+
+# Imported last: repro.bmc imports this module (through its session
+# layer), so the bmc package can load only once the names above exist.
+from ..bmc.unroll import Unrolling, low_driver  # noqa: E402
+
+#: The pre-Unrolling name of the shared unrolling, kept importable.
+SharedUnrolling = Unrolling

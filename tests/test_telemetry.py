@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from repro.bmc import BmcSession
+from repro.bmc import BmcSession, IncrementalBmc
 from repro.harness.report import format_metrics
 from repro.harness.runner import run_matrix
 from repro.models import build_suite, counter
@@ -274,6 +274,16 @@ class TestInstrumentation:
         assert solves
         assert all("result" in e["args"] for e in solves)
         assert all("conflicts" in e["args"] for e in solves)
+
+    def test_sat_load_spans_count_every_encoded_clause(self, telemetry):
+        tracer, _ = telemetry
+        system, final, _ = counter.make(4, 9)
+        inc = IncrementalBmc(system, final)
+        inc.sweep(8)
+        loads = [e for e in tracer.events() if e["name"] == "sat.load"]
+        assert loads
+        assert sum(e["args"]["clauses"] for e in loads) == \
+            len(inc.cnf.clauses)
 
 
 # ----------------------------------------------------------------------
