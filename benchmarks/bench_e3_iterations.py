@@ -10,7 +10,7 @@ import math
 
 from repro.harness.experiments import run_e3
 from repro.models import shift_register
-from repro.bmc import find_reachable
+from repro.bmc import BmcSession
 
 
 def bench_e3_iterations(benchmark):
@@ -34,10 +34,12 @@ def bench_e3_schedule_scaling(benchmark):
         rows = []
         for length in (6, 10, 14, 18):
             system, final, depth = shift_register.make(length)
-            _, linear = find_reachable(system, final, depth,
-                                       strategy="linear")
-            _, squaring = find_reachable(system, final, depth,
-                                         strategy="squaring")
+            with BmcSession(system,
+                            properties={"target": final}) as session:
+                _, linear = session.find_reachable(depth,
+                                                   strategy="linear")
+                _, squaring = session.find_reachable(depth,
+                                                     strategy="squaring")
             rows.append((depth, len(linear), len(squaring)))
         return rows
 

@@ -33,7 +33,7 @@ def bench_e6_memory_budget_cliff(benchmark):
     literal cap; the unrolled encoding cannot even be *loaded* at deep
     bounds while jSAT stays comfortably inside.
     """
-    from repro.bmc import check_reachability
+    from repro.bmc import BmcSession
     from repro.logic import expr as ex
     from repro.models import mixer
     from repro.sat.types import Budget, SolveResult
@@ -49,10 +49,10 @@ def bench_e6_memory_budget_cliff(benchmark):
     def run():
         out = {}
         k = 48
-        out["unroll"] = check_reachability(system, target, k,
-                                           "sat-unroll", budget=cap)
-        out["jsat"] = check_reachability(system, target, k, "jsat",
-                                         budget=cap)
+        with BmcSession(system, properties={"target": target}) as session:
+            out["unroll"] = session.check(k, method="sat-unroll",
+                                          budget=cap)
+            out["jsat"] = session.check(k, method="jsat", budget=cap)
         return out
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)

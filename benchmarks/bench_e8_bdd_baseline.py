@@ -12,7 +12,7 @@ answers the same deep query within a constant-size clause database.
 """
 
 from repro.bdd import BddReachability
-from repro.bmc import AllSatReachability, check_reachability
+from repro.bmc import AllSatReachability, BmcSession
 from repro.logic import expr as ex
 from repro.models import counter, mixer
 from repro.sat.types import SolveResult
@@ -36,7 +36,8 @@ def bench_e8_bdd_friendly_vs_dense(benchmark):
         out["dense_nodes"] = blown.manager.size()
 
         target = ex.var("x11")
-        jsat = check_reachability(dense, target, 24, "jsat")
+        with BmcSession(dense, properties={"target": target}) as session:
+            jsat = session.check(24, method="jsat")
         out["jsat_status"] = jsat.status
         out["jsat_peak"] = jsat.stats["peak_db_literals"]
         return out

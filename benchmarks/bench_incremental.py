@@ -18,7 +18,7 @@ Two measurements back the incremental driver's claim:
 
 import time
 
-from repro.bmc import sweep
+from repro.bmc import BmcSession
 from repro.models import build_suite, mixer
 from repro.models._common import value_equals
 from repro.sat.types import SolveResult
@@ -37,7 +37,8 @@ def _deepest_per_family():
 
 def _timed_sweep(system, final, method):
     start = time.perf_counter()
-    result = sweep(system, final, MAX_K, method=method)
+    with BmcSession(system, properties={"target": final}) as session:
+        result = session.sweep(MAX_K, method=method)
     return result, time.perf_counter() - start
 
 

@@ -102,7 +102,9 @@ def bench_kernel_vs_reference_speedup(benchmark):
     """
     import time as _time
 
-    from repro.sat.kernel import make_solver
+    from repro.sat.kernel import KernelSolver
+
+    engines = {"reference": CdclSolver, "kernel": KernelSolver}
 
     workloads = {
         "random_3sat": _random_3sat(120, 3.5, seed=11).clauses,
@@ -111,7 +113,7 @@ def bench_kernel_vs_reference_speedup(benchmark):
     }
 
     def one_shot(engine, clauses):
-        solver = make_solver(engine)
+        solver = engines[engine]()
         solver.add_clauses(clauses)
         status = solver.solve()
         assert status is not SolveResult.UNKNOWN
@@ -119,7 +121,7 @@ def bench_kernel_vs_reference_speedup(benchmark):
 
     def incremental(engine):
         cnf = _random_3sat(80, 3.0, seed=3)
-        solver = make_solver(engine)
+        solver = engines[engine]()
         solver.add_clauses(cnf.clauses)
         rng = random.Random(5)
         for _ in range(10):

@@ -24,7 +24,7 @@ def main() -> None:
     for target, label in (("m0", "cache 0 in M"),
                           ("both-s", "both caches in S")):
         system, final, depth = cache_msi.make(target)
-        with BmcSession(system, final) as session:
+        with BmcSession(system, properties={"target": final}) as session:
             result = session.check(depth, method="jsat")
         assert result.status is SolveResult.SAT
         print(f"[{label}] reachable at k={depth}; witness states:")
@@ -52,7 +52,7 @@ def main() -> None:
     reimported = parse_aiger(aiger_text)
     system2 = reimported.to_transition_system()
     _, final, depth = cache_msi.make("m0")
-    with BmcSession(system2, final) as session:
+    with BmcSession(system2, properties={"target": final}) as session:
         result = session.check(depth, method="sat-unroll")
     print(f"[aiger] re-imported netlist verifies the same: "
           f"{result.status.name} at k={depth}\n")

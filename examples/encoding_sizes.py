@@ -38,7 +38,7 @@ def main() -> None:
     nd_system = circuit.to_transition_system()
     target = ex.var("x9")
     print("peak clause-database literals while solving (k = 32):")
-    with BmcSession(nd_system, target) as session:
+    with BmcSession(nd_system, properties={"target": target}) as session:
         unroll = session.check(32, method="sat-unroll")
         jsat = session.check(32, method="jsat")
     print(f"  sat-unroll: {unroll.stats['solver_peak_db_literals']:>8d} "

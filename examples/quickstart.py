@@ -13,7 +13,7 @@ Builds a 4-bit counter and checks it two ways:
 Run:  python examples/quickstart.py
 """
 
-from repro.bmc import BmcSession, check_reachability
+from repro.bmc import BmcSession
 from repro.models import counter
 from repro.sat.types import Budget
 from repro.spec import Invariant, Reachable, parse_spec
@@ -75,15 +75,6 @@ def main() -> None:
         print(f"\nsweep 0..12 (sat-incremental) -> shortest cex at "
               f"k={swept.shortest_k} after {swept.time_to_hit * 1e3:.1f} ms "
               f"({len(swept.per_bound)} bounds checked)")
-
-    # The pre-0.3 function API still works through deprecation shims —
-    # one call kept here to show the migration is optional:
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = check_reachability(system, final, depth, "jsat")
-    print(f"\nlegacy shim   -> {legacy.status.name} "
-          f"(same verdict, stateless per call)")
 
 
 if __name__ == "__main__":

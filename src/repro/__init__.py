@@ -20,6 +20,5 @@ Quickstart
 ('HOLDS', 'VIOLATED')
 """
 
-# Kept in sync with pyproject.toml; the function-API deprecation shims
-# (repro.bmc.engine) are documented against this number.
+# Kept in sync with pyproject.toml.
 __version__ = "0.9.0"

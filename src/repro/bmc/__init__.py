@@ -2,9 +2,9 @@
 
 The public API is object-based: a pluggable :class:`Backend` registry
 (:mod:`repro.bmc.backend`) and the stateful :class:`BmcSession` front
-end (:mod:`repro.bmc.session`).  The legacy function entry points
-(``check_reachability`` / ``sweep`` / ``find_reachable``) remain as
-deprecation shims in :mod:`repro.bmc.engine`.
+end (:mod:`repro.bmc.session`).  A reachability query is
+``BmcSession(system, properties={"target": final}).check(k, method=m)``;
+``sweep`` and ``find_reachable`` are methods of the same session.
 """
 
 from .allsat import AllSatReachability
@@ -14,7 +14,6 @@ from .backend import (ALL_METHODS, METHODS, Backend, BackendOptions,
                       unregister_backend, validate_method)
 from .completeness import (UnboundedResult, longest_simple_path_reached,
                            verify_unbounded)
-from .engine import (PORTFOLIO, check_reachability, find_reachable, sweep)
 from .incremental import (BoundResult, IncrementalBmc, SweepBudget,
                           SweepResult)
 from .induction import InductionResult, prove_by_induction
@@ -41,10 +40,6 @@ __all__ = [
     "create_backend",
     "validate_method",
     "MethodsView",
-    # Deprecated function shims
-    "check_reachability",
-    "sweep",
-    "find_reachable",
     # Results and sweep machinery
     "BmcResult",
     "SweepResult",
@@ -65,7 +60,6 @@ __all__ = [
     "validate_invariant",
     "METHODS",
     "ALL_METHODS",
-    "PORTFOLIO",
     "JsatSolver",
     "JsatStats",
     "TimeBreakdown",

@@ -368,22 +368,7 @@ class BackendOptions:
     Construction goes through :meth:`from_kwargs`, which rejects
     unknown keys with the list of valid ones (and a did-you-mean hint),
     so a misspelled option can never be silently dropped.
-
-    Every backend inherits the ``solver`` option: which SAT engine its
-    CDCL instances run on — ``"kernel"`` (the array-based core),
-    ``"reference"`` (the pure-Python solver), or None to defer to the
-    process default (env ``REPRO_SAT_KERNEL``).  Because it is a
-    dataclass field, the choice flows through portfolio IPC payloads
-    (``as_dict``) and backend/cache keys (``cache_key``) with no extra
-    plumbing.
     """
-
-    solver: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.solver is not None:
-            from ..sat.types import resolve_engine
-            resolve_engine(self.solver)      # validate eagerly
 
     @classmethod
     def option_names(cls) -> Tuple[str, ...]:

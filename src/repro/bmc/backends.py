@@ -31,6 +31,7 @@ from ..qbf.qdpll import QdpllSolver
 from ..sat.kernel import make_solver
 from ..sat.types import Budget, SolveResult
 from ..system.trace import Trace
+from ..telemetry.trace import current_tracer
 from .backend import (Backend, BackendOptions, BmcResult, OnBound,
                       SweepResult, drive_sweep, register_backend)
 from .incremental import IncrementalBmc
@@ -64,8 +65,7 @@ def squaring_ladder(max_k: int) -> List[int]:
 
 def _check_unroll_once(system, final, k: int, semantics: str,
                        budget: Budget | None,
-                       polarity_reduction: bool = False,
-                       solver_engine: Optional[str] = None) -> BmcResult:
+                       polarity_reduction: bool = False) -> BmcResult:
     """One formula-(1) query (also the k = 0 fallback for the QBF
     encodings, which need at least one step)."""
     encoding = encode_unrolled(system, final, k, semantics,
@@ -73,9 +73,11 @@ def _check_unroll_once(system, final, k: int, semantics: str,
     if not encoding.complete:        # a stop request cut encoding short
         return BmcResult(SolveResult.UNKNOWN, None, k, "sat-unroll", 0.0,
                          encoding.stats())
-    solver = make_solver(solver_engine)
+    solver = make_solver()
     solver.ensure_vars(encoding.cnf.num_vars)
-    ok = solver.add_clauses(encoding.cnf.clauses)
+    with current_tracer().span("sat.load",
+                               clauses=len(encoding.cnf.clauses)):
+        ok = solver.add_clauses(encoding.cnf.clauses)
     status = solver.solve(budget=budget) if ok else SolveResult.UNSAT
     trace = None
     if status is SolveResult.SAT:
@@ -102,8 +104,7 @@ class SatUnrollBackend(Backend):
               budget: Budget | None = None) -> BmcResult:
         result = _check_unroll_once(
             self.system, self.final, k, semantics, budget,
-            polarity_reduction=self.options.polarity_reduction,
-            solver_engine=self.options.solver)
+            polarity_reduction=self.options.polarity_reduction)
         result.method = self.name
         return result
 
@@ -138,8 +139,7 @@ class SatIncrementalBackend(Backend):
             self._inc = IncrementalBmc(
                 self.system, self.final,
                 polarity_reduction=self.options.polarity_reduction,
-                purge_interval=self.options.purge_interval,
-                solver=self.options.solver)
+                purge_interval=self.options.purge_interval)
         return self._inc
 
     def check(self, k: int, semantics: str = "exact",
@@ -200,8 +200,7 @@ class QbfBackend(Backend):
         if k == 0:
             # Formula (2) needs at least one step; fall back to SAT.
             result = _check_unroll_once(system, self.final, 0, "exact",
-                                        budget,
-                                        solver_engine=self.options.solver)
+                                        budget)
             result.method = self.name
             return result
         encoding = encode_qbf(query_system, self.final, k)
@@ -251,8 +250,7 @@ class QbfSquaringBackend(Backend):
             bound = k
         if k == 0:
             result = _check_unroll_once(self.system, self.final, 0,
-                                        "exact", budget,
-                                        solver_engine=self.options.solver)
+                                        "exact", budget)
             result.method = self.name
             return result
         encoding = encode_squaring(query_system, self.final, bound)
@@ -312,8 +310,7 @@ class JsatBackend(Backend):
                 self.system, self.final, 0, semantics,
                 use_cache=self.options.use_cache,
                 f_pruning=self.options.f_pruning,
-                purge_interval=self.options.purge_interval,
-                solver=self.options.solver)
+                purge_interval=self.options.purge_interval)
             self._solvers[semantics] = solver
         return solver
 

@@ -1,7 +1,7 @@
 """Incremental BMC: one CDCL solver across an entire bound sweep.
 
 Classical BMC (``method="sat-unroll"``) re-encodes the unrolling and
-builds a fresh :class:`~repro.sat.solver.CdclSolver` for every bound,
+builds a fresh :class:`~repro.sat.kernel.KernelSolver` for every bound,
 throwing away the whole clause database — k shared transition frames
 *and* every learnt clause — between k and k+1.  This module keeps
 **one** solver alive for the whole sweep:
@@ -63,9 +63,6 @@ class IncrementalBmc(Unrolling):
     purge_interval:
         Retired final-constraint groups are physically reclaimed every
         this many retirements (1 = immediately).
-    solver:
-        SAT engine for the long-lived solver: ``"kernel"`` or
-        ``"reference"`` (None defers to the process default).
 
     Example
     -------
@@ -78,13 +75,12 @@ class IncrementalBmc(Unrolling):
 
     def __init__(self, system: TransitionSystem, final: Expr,
                  polarity_reduction: bool = False,
-                 purge_interval: int = 4,
-                 solver: Optional[str] = None) -> None:
+                 purge_interval: int = 4) -> None:
         stray = final.support() - set(system.state_vars)
         if stray:
             raise ValueError(f"final predicate uses non-state vars: {stray}")
         super().__init__(system, polarity_reduction=polarity_reduction,
-                         purge_interval=purge_interval, solver=solver)
+                         purge_interval=purge_interval)
         self.final = final
         self._groups: Dict[int, int] = {}      # bound -> live group literal
         # Auxiliary driver answering bounds below self.k (see
@@ -94,8 +90,7 @@ class IncrementalBmc(Unrolling):
     def _twin(self) -> "IncrementalBmc":
         return IncrementalBmc(self.system, self.final,
                               polarity_reduction=self.polarity_reduction,
-                              purge_interval=self.purge_interval,
-                              solver=self.engine)
+                              purge_interval=self.purge_interval)
 
     # ------------------------------------------------------------------
     # Queries

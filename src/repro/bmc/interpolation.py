@@ -136,52 +136,36 @@ def prove_by_interpolation(system: TransitionSystem, bad: Expr,
                            ) -> InterpolationResult:
     """Prove ``bad`` unreachable or find a counterexample.
 
-    Complete for finite systems given enough ``max_k``/``max_iterations``
-    (each refinement strictly enlarges the over-approximation R, and a
-    too-small k is detected via the spurious-SAT restart).
+    The one-shot form of the ``interpolation`` backend
+    (:class:`repro.bmc.provers.InterpolationBackend`): its rungs k = 0,
+    1, ..., ``max_k`` each run the fixpoint iteration at depth k, at
+    most ``max_iterations`` refinements per rung.  Complete for finite
+    systems given enough ``max_k``/``max_iterations`` (each refinement
+    strictly enlarges the over-approximation R, and a too-small k is
+    detected via the spurious-SAT restart).
     """
-    stray = bad.support() - set(system.state_vars)
-    if stray:
-        raise ValueError(f"bad predicate uses non-state vars: {stray}")
+    # Deferred: provers.py imports this module's A/B query.
+    from .provers import InterpolationBackend
+    backend = InterpolationBackend(system, bad,
+                                   max_iterations=max_iterations)
     if budget is not None:
-        budget.arm()        # one wall-clock slice shared by all queries
-    # Depth-0: an initial state may already be bad.
-    init_bad = ex.mk_and(system.init, bad)
-    cnf, pool = expr_to_cnf(init_bad)
-    probe = make_solver()
-    probe.ensure_vars(cnf.num_vars)
-    loaded = probe.add_clauses(cnf.clauses)
-    if loaded and probe.solve() is SolveResult.SAT:
-        state = {v: bool(probe.model_value(pool.named(v)))
-                 if pool.lookup(v) is not None else False
-                 for v in system.state_vars}
-        return InterpolationResult("cex", 0, 0, Trace([state]))
-
-    total_iterations = 0
-    k = 1
-    while k <= max_k:
-        reach = system.init
-        is_initial = True
-        while total_iterations < max_iterations:
+        budget.arm()        # one wall-clock slice shared by all rungs
+    iterations = 0
+    try:
+        for k in range(max_k + 1):
             if budget is not None and budget.expired():
-                return InterpolationResult("unknown", k, total_iterations)
-            total_iterations += 1
-            status, itp, trace = _bounded_query(system, reach, bad, k,
-                                                budget)
-            if status is SolveResult.UNKNOWN:
-                return InterpolationResult("unknown", k, total_iterations)
-            if status is SolveResult.SAT:
-                if is_initial:
-                    assert trace is not None
-                    trace.validate(system, bad)
-                    return InterpolationResult("cex", k, total_iterations,
-                                               trace)
-                break                      # spurious: deepen k
-            assert itp is not None
-            if _implies(itp, reach):
-                return InterpolationResult("proved", k, total_iterations,
-                                           invariant=reach)
-            reach = ex.mk_or(reach, itp)
-            is_initial = False
-        k += 1
-    return InterpolationResult("unknown", k - 1, total_iterations)
+                return InterpolationResult("unknown", k, iterations)
+            result = backend.check(k, semantics="within", budget=budget)
+            iterations += result.stats.get("itp_iterations", 0)
+            if result.status is SolveResult.SAT:
+                result.trace.validate(system, bad)
+                return InterpolationResult("cex", k, iterations,
+                                           result.trace)
+            if result.proved:
+                return InterpolationResult("proved", k, iterations,
+                                           invariant=result.invariant)
+            if result.status is SolveResult.UNKNOWN:
+                return InterpolationResult("unknown", k, iterations)
+    finally:
+        backend.close()
+    return InterpolationResult("unknown", max_k, iterations)

@@ -16,7 +16,7 @@ initial states toward the final ones.
 Implementation notes
 --------------------
 The window is realized on top of the incremental CDCL solver
-(:class:`repro.sat.solver.CdclSolver`):
+(:class:`repro.sat.kernel.KernelSolver`):
 
 * TR(U, X, V) is Tseitin-encoded **once**; I over U and F over U/V are
   encoded once each.  All of them are guarded by activation literals
@@ -51,9 +51,10 @@ from ..logic.cnf import CNF, VarPool
 from ..logic.expr import Expr
 from ..logic.tseitin import TseitinEncoder
 from ..sat.kernel import make_solver
-from ..sat.types import Budget, BudgetExceeded, SolveResult, resolve_engine
+from ..sat.types import Budget, BudgetExceeded, SolveResult
 from ..system.model import TransitionSystem
 from ..system.trace import Trace
+from ..telemetry.trace import current_tracer
 
 __all__ = ["JsatSolver", "JsatStats"]
 
@@ -111,19 +112,13 @@ class JsatSolver:
     purge_interval:
         Retired clause groups are physically reclaimed every this many
         pops (1 = immediately; larger trades memory for time).
-    solver:
-        SAT engine for the window queries: ``"kernel"`` or
-        ``"reference"`` (None defers to the process default).  Group
-        retirement is engine-independent — both engines expose the
-        same activation-literal surface.
     """
 
     def __init__(self, system: TransitionSystem, final: Expr, k: int,
                  semantics: str = "exact",
                  use_cache: bool = True,
                  f_pruning: bool = True,
-                 purge_interval: int = 8,
-                 solver: Optional[str] = None) -> None:
+                 purge_interval: int = 8) -> None:
         if k < 0:
             raise ValueError("bound k must be non-negative")
         if semantics not in ("exact", "within"):
@@ -138,7 +133,6 @@ class JsatSolver:
         self.use_cache = use_cache
         self.f_pruning = f_pruning
         self.purge_interval = max(1, purge_interval)
-        self.engine = resolve_engine(solver)
         self.stats = JsatStats()
         self._trace: Optional[Trace] = None
         self._deadline: Optional[float] = None
@@ -197,9 +191,10 @@ class JsatSolver:
         self._fin_u_act = self.pool.fresh("act_fin_u")
 
         cnf.num_vars = max(cnf.num_vars, self.pool.num_vars)
-        self.solver = make_solver(self.engine)
+        self.solver = make_solver()
         self.solver.ensure_vars(cnf.num_vars)
-        self._ok = self.solver.add_clauses(cnf.clauses)
+        with current_tracer().span("sat.load", clauses=len(cnf.clauses)):
+            self._ok = self.solver.add_clauses(cnf.clauses)
         self.solver.add_clause([-self._trans_act, trans_lit])
         if init_lit is not None:
             self.solver.add_clause([-self._init_act, init_lit])

@@ -174,8 +174,7 @@ class KInductionBackend(_ProverBackend):
         if self._base is None:
             self._base = IncrementalBmc(
                 self.system, self.final,
-                purge_interval=self.options.purge_interval,
-                solver=self.options.solver)
+                purge_interval=self.options.purge_interval)
         return self._base
 
     def _step_case(self, k: int, budget: Budget | None
@@ -186,8 +185,7 @@ class KInductionBackend(_ProverBackend):
         if self._step is None:
             self._step = Unrolling(
                 self.system, init=False,
-                purge_interval=self.options.purge_interval,
-                solver=self.options.solver)
+                purge_interval=self.options.purge_interval)
         step = self._step
         if not step.ensure_frames(k + 1, budget):
             return SolveResult.UNKNOWN, {}
@@ -281,7 +279,7 @@ class InterpolationBackend(_ProverBackend):
             return None
         init_bad = ex.mk_and(self.system.init, self.final)
         cnf, pool = expr_to_cnf(init_bad)
-        solver = make_solver(self.options.solver)
+        solver = make_solver()
         solver.ensure_vars(cnf.num_vars)
         loaded = solver.add_clauses(cnf.clauses)
         status = solver.solve(budget=budget) if loaded else \
@@ -378,8 +376,7 @@ class DiameterBackend(_ProverBackend):
         if self._base is None:
             self._base = IncrementalBmc(
                 self.system, self.final,
-                purge_interval=self.options.purge_interval,
-                solver=self.options.solver)
+                purge_interval=self.options.purge_interval)
         return self._base
 
     def check(self, k: int, semantics: str = "within",

@@ -33,15 +33,11 @@ Example
 ...     results = session.check_properties(depth)
 >>> results["hit"].verdict.name, results["safe"].verdict.name
 ('HOLDS', 'VIOLATED')
-
-The pre-0.4 form ``BmcSession(system, final_expr)`` still works as a
-deprecated shim for the single anonymous reachability target.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..logic.expr import Expr
@@ -50,20 +46,13 @@ from ..spec.checker import (OnPropertyBound, PropertyChecker,
                             PropertyResult, normalize_properties)
 from ..spec.property import Property, reachability_target
 from ..system.model import TransitionSystem
-from ..system.trace import Trace
 from ..telemetry.trace import current_tracer
 from .backend import (SEMANTICS, Backend, BmcResult, OnBound, create_backend,
                       validate_method)
 from .backends import squaring_ladder
 from .incremental import BoundResult, SweepResult
 
-__all__ = ["BmcSession", "shorten_to_final"]
-
-
-def shorten_to_final(trace: Trace, final: Expr) -> Trace:
-    """Cut a within-mode trace at its first final state (see
-    :meth:`repro.system.trace.Trace.shorten_to`)."""
-    return trace.shorten_to(final)
+__all__ = ["BmcSession"]
 
 
 class BmcSession:
@@ -73,9 +62,6 @@ class BmcSession:
     ----------
     system:
         The transition system under check.
-    final:
-        **Deprecated** — the anonymous reachability target of the
-    pre-0.4 API; equivalent to ``properties={"target": Reachable(final)}``.
     properties:
         The session's named properties: a mapping
         ``{name: Property | Expr}`` (raw expressions are wrapped as
@@ -92,12 +78,6 @@ class BmcSession:
         order.  Witness traces are lifted back to full-width paths
         over the original system before validation or shortening, so
         callers never observe the reduction.
-    solver:
-        SAT engine default for every backend and checker the session
-        creates: ``"kernel"`` or ``"reference"``.  ``None`` (default)
-        defers to the process default
-        (:func:`repro.sat.types.resolve_engine`); a per-call
-        ``solver=...`` backend option overrides it.
     on_bound:
         Session-wide per-bound observer (``on_bound(BoundResult)``)
         invoked during sweeps and iterative deepening; a per-call
@@ -110,8 +90,7 @@ class BmcSession:
     or a replaced single property — get independent instances.
     """
 
-    def __init__(self, system: TransitionSystem,
-                 final: Optional[Expr] = None, *,
+    def __init__(self, system: TransitionSystem, *,
                  properties: Union[Mapping[str, Union[Property, Expr]],
                                    Property, Expr, None] = None,
                  method: str = "sat-unroll",
@@ -119,7 +98,6 @@ class BmcSession:
                  prover: Optional[str] = None,
                  prover_max_k: int = 64,
                  sim_tier: bool = True,
-                 solver: Optional[str] = None,
                  on_bound: OnBound | None = None) -> None:
         from ..reduce import resolve_reduce
         validate_method(method)
@@ -132,14 +110,6 @@ class BmcSession:
                     f"{prover!r} is a bounded falsifier, not a prover; "
                     f"pick a backend with proves_unbounded=True "
                     f"(k-induction / interpolation / diameter)")
-        if final is not None and properties is not None:
-            raise TypeError("pass either final or properties, not both")
-        if final is not None:
-            warnings.warn(
-                "BmcSession(system, final) is deprecated; pass "
-                "properties={'target': final} (or a repro.spec Property) "
-                "instead", DeprecationWarning, stacklevel=2)
-            properties = {"target": final}
         self.system = system
         self.properties: Dict[str, Property] = \
             normalize_properties(properties)
@@ -148,8 +118,6 @@ class BmcSession:
         self.prover = prover
         self.prover_max_k = prover_max_k
         self.sim_tier = sim_tier
-        from ..sat.types import resolve_engine
-        self.solver = None if solver is None else resolve_engine(solver)
         self._pipeline = resolve_reduce(reduce)
         self.on_bound = on_bound
         self._backends: Dict[Tuple[str, str, int], Backend] = {}
@@ -249,8 +217,6 @@ class BmcSession:
         final = self._require_final("backend()")
         name = method or self.method
         cls = validate_method(name)
-        if self.solver is not None and "solver" not in options:
-            options["solver"] = self.solver
         opts = cls.options_class.from_kwargs(**options)
         # The target participates in the key: replacing the session's
         # single property via add_property must not hand back a cached
@@ -414,8 +380,7 @@ class BmcSession:
                                             reduce=self.reduce,
                                             prover=self.prover,
                                             prover_max_k=self.prover_max_k,
-                                            sim_tier=self.sim_tier,
-                                            solver=self.solver)
+                                            sim_tier=self.sim_tier)
         return self._checker
 
     def check_properties(self, k: int, names: List[str] | None = None,

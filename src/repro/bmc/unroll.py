@@ -29,7 +29,7 @@ from ..logic.cnf import CNF, VarPool
 from ..logic.expr import Expr
 from ..logic.tseitin import TseitinEncoder
 from ..sat.kernel import make_solver
-from ..sat.types import Budget, SolveResult, resolve_engine, stop_requested
+from ..sat.types import Budget, SolveResult, stop_requested
 from ..system.model import TransitionSystem
 from ..system.trace import Trace
 from ..telemetry.trace import current_tracer
@@ -140,17 +140,14 @@ class Unrolling:
     that is never solved stays a plain CNF (:class:`UnrolledEncoding`).
 
     ``init=False`` leaves Z0 unconstrained (the k-induction step case).
-    ``solver`` names the SAT engine (``"kernel"`` / ``"reference"``;
-    None defers to the process default).
     """
 
     def __init__(self, system: TransitionSystem, init: bool = True,
-                 polarity_reduction: bool = False, purge_interval: int = 4,
-                 solver: Optional[str] = None) -> None:
+                 polarity_reduction: bool = False,
+                 purge_interval: int = 4) -> None:
         self.system = system
         self.polarity_reduction = polarity_reduction
         self.purge_interval = max(1, purge_interval)
-        self.engine = resolve_engine(solver)
         self.pool = VarPool()
         self.cnf = CNF()
         self.encoder = TseitinEncoder(self.cnf, self.pool,
@@ -215,7 +212,7 @@ class Unrolling:
     def solver(self):
         """The live solver (created on first use)."""
         if self._solver is None:
-            self._solver = make_solver(self.engine)
+            self._solver = make_solver()
         return self._solver
 
     def _flush(self) -> None:

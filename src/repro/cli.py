@@ -83,7 +83,7 @@ from .qbf.expansion import ExpansionSolver
 from .qbf.pcnf import PCNF
 from .qbf.qdpll import QdpllSolver
 from .sat.kernel import make_solver
-from .sat.types import SAT_ENGINE_ENV, SAT_ENGINES, Budget, SolveResult
+from .sat.types import Budget, SolveResult
 from .telemetry import (MetricsRegistry, Tracer, set_metrics, set_tracer,
                         write_chrome_trace)
 
@@ -819,11 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="wall-clock budget in seconds")
     parser.add_argument("--conflicts", type=int, default=None,
                         help="solver conflict budget")
-    parser.add_argument("--solver", choices=SAT_ENGINES, default=None,
-                        help="SAT engine for every CDCL query: the "
-                             "array-based kernel (default) or the "
-                             "pure-Python reference; also settable "
-                             f"via ${SAT_ENGINE_ENV}")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes for parallel commands "
                              "(batch sharding, portfolio racing)")
@@ -1036,11 +1031,6 @@ def main(argv: List[str] | None = None) -> int:
     if getattr(args, "jobs", None) is not None and args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     _setup_logging(getattr(args, "verbose", 0))
-    if getattr(args, "solver", None) is not None:
-        # Process-wide default: every make_solver(None) in this run —
-        # and in worker processes, which inherit the environment —
-        # resolves to the chosen engine.
-        os.environ[SAT_ENGINE_ENV] = args.solver
 
     trace_path = getattr(args, "trace", None)
     want_metrics = bool(getattr(args, "metrics", False))

@@ -1,29 +1,23 @@
-"""SAT solving: CDCL engines, DPLL reference, proofs, interpolation.
+"""SAT solving: the CDCL engine, DPLL reference, proofs, interpolation.
 
-Two CDCL engines share one public surface: the array-based
-:class:`KernelSolver` (``solver="kernel"``, with a compiled C core
-when a system compiler is available) and the pure-Python
-:class:`CdclSolver` reference (``solver="reference"``) it is
-differentially pinned against.  :func:`make_solver` picks one; the
-process default comes from the ``REPRO_SAT_KERNEL`` environment
-variable via :func:`resolve_engine`.
+Every production query runs on one engine, :class:`KernelSolver`,
+built by :func:`make_solver`: a compiled C core when a system compiler
+is available (``REPRO_SAT_CC=off`` disables it), else the interpreted
+array kernel, which also carries proof logging.  The pure-Python
+:class:`CdclSolver` is the readable reference the differential tests
+pin the kernel against; no production path builds it.
 """
 
 from .dpll import DpllSolver, brute_force_models, brute_force_sat
 from .kernel import KernelSolver, make_solver
 from .proof import DratProof, ProofError, ResolutionProof
 from .solver import CdclSolver, SolverStats
-from .types import (DEFAULT_SAT_ENGINE, SAT_ENGINE_ENV, SAT_ENGINES, Budget,
-                    BudgetExceeded, SolveResult, resolve_engine)
+from .types import Budget, BudgetExceeded, SolveResult
 
 __all__ = [
     "CdclSolver",
     "KernelSolver",
     "make_solver",
-    "resolve_engine",
-    "SAT_ENGINES",
-    "SAT_ENGINE_ENV",
-    "DEFAULT_SAT_ENGINE",
     "SolverStats",
     "DpllSolver",
     "brute_force_models",

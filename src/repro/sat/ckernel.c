@@ -21,6 +21,9 @@
 
 #define API __attribute__((visibility("default")))
 
+/* Largest variable index: internal literals 2v + 1 must fit int32. */
+#define CK_MAX_VAR ((1 << 30) - 1)
+
 /* ------------------------------------------------------------------ */
 /* growable int vector                                                 */
 /* ------------------------------------------------------------------ */
@@ -174,33 +177,47 @@ API void ck_free(Solver *s) {
     free(s);
 }
 
-static void ensure_vcap(Solver *s, int32_t n) {
-    if (n <= s->vcap) return;
+/* Grow every per-variable array to hold variable n.  Returns 0, with
+ * vcap unchanged, when an allocation fails: arrays already grown keep
+ * their old contents, so the solver stays usable. */
+#define GROW(field, type, count)                                         \
+    do {                                                                 \
+        type *p_ = (type *)realloc(s->field, (count) * sizeof(type));   \
+        if (!p_) return 0;                                               \
+        s->field = p_;                                                   \
+    } while (0)
+
+static int ensure_vcap(Solver *s, int32_t n) {
+    if (n <= s->vcap) return 1;
+    if (n > CK_MAX_VAR) return 0;
     int32_t c = s->vcap ? s->vcap : 64;
     while (c < n) c *= 2;
-    s->assign = (int8_t *)realloc(s->assign, c + 1);
-    s->level = (int32_t *)realloc(s->level, (c + 1) * sizeof(int32_t));
-    s->reason = (int32_t *)realloc(s->reason, (c + 1) * sizeof(int32_t));
-    s->act = (double *)realloc(s->act, (c + 1) * sizeof(double));
-    s->phase = (uint8_t *)realloc(s->phase, c + 1);
-    s->seen = (uint8_t *)realloc(s->seen, c + 1);
-    s->hidx = (int32_t *)realloc(s->hidx, (c + 1) * sizeof(int32_t));
-    s->lvl_stamp = (uint32_t *)realloc(s->lvl_stamp,
-                                       (c + 1) * sizeof(uint32_t));
-    s->trail = (int32_t *)realloc(s->trail, (c + 1) * sizeof(int32_t));
-    s->heap = (int32_t *)realloc(s->heap, (c + 1) * sizeof(int32_t));
-    s->model = (int8_t *)realloc(s->model, c + 1);
-    vi *nw = (vi *)calloc(2 * (size_t)(c + 1), sizeof(vi));
+    size_t m = (size_t)c + 1;
+    GROW(assign, int8_t, m);
+    GROW(level, int32_t, m);
+    GROW(reason, int32_t, m);
+    GROW(act, double, m);
+    GROW(phase, uint8_t, m);
+    GROW(seen, uint8_t, m);
+    GROW(hidx, int32_t, m);
+    GROW(lvl_stamp, uint32_t, m);
+    GROW(trail, int32_t, m);
+    GROW(heap, int32_t, m);
+    GROW(model, int8_t, m);
+    vi *nw = (vi *)calloc(2 * m, sizeof(vi));
+    if (!nw) return 0;
     if (s->watches) {
         memcpy(nw, s->watches, 2 * (size_t)(s->vcap + 1) * sizeof(vi));
         free(s->watches);
     }
     s->watches = nw;
     s->vcap = c;
+    return 1;
 }
 
+/* Returns the new variable, or -1 when its allocation fails. */
 API int32_t ck_new_var(Solver *s) {
-    ensure_vcap(s, s->nvars + 1);
+    if (!ensure_vcap(s, s->nvars + 1)) return -1;
     int32_t v = ++s->nvars;
     s->assign[v] = 0; s->level[v] = 0; s->reason[v] = 0;
     s->act[v] = 0.0; s->phase[v] = 1; s->seen[v] = 0;
@@ -209,8 +226,11 @@ API int32_t ck_new_var(Solver *s) {
     return v;
 }
 
-API void ck_ensure_vars(Solver *s, int32_t up_to) {
+/* Returns 0 when the variables cannot be allocated (nothing is added). */
+API int ck_ensure_vars(Solver *s, int32_t up_to) {
+    if (!ensure_vcap(s, up_to)) return 0;
     while (s->nvars < up_to) ck_new_var(s);
+    return 1;
 }
 
 API int32_t ck_num_vars(Solver *s) { return s->nvars; }
@@ -336,15 +356,24 @@ static void gc_arena(Solver *s) {
     s->st[ST_DB_LITERALS] = saved;
 }
 
+static int lits_in_range(const int32_t *dlits, int32_t n) {
+    for (int32_t i = 0; i < n; i++)
+        if (dlits[i] > CK_MAX_VAR || dlits[i] < -CK_MAX_VAR) return 0;
+    return 1;
+}
+
+/* Returns 1 (ok), 0 (now UNSAT), -1 (allocation failed) or -2 (a
+ * literal is out of range; nothing is added). */
 API int ck_add_clause(Solver *s, const int32_t *dlits, int32_t n) {
     if (!s->ok) return 0;
+    if (!lits_in_range(dlits, n)) return -2;
     cancel_until(s, 0);
     s->tmp.sz = 0;
     vi_reserve(&s->tmp, n);
     for (int32_t i = 0; i < n; i++) {
         int32_t d = dlits[i];
         int32_t v = d < 0 ? -d : d;
-        ck_ensure_vars(s, v);
+        if (!ck_ensure_vars(s, v)) return -1;
         s->tmp.d[s->tmp.sz++] = 2 * v + (d < 0 ? 1 : 0);
     }
     /* sort ascending (insertion sort: clauses are short) */
@@ -666,6 +695,7 @@ static int32_t pick_branch(Solver *s) {
 API int ck_solve(Solver *s, const int32_t *dassumps, int32_t n_ass,
                  int64_t max_conf, int64_t max_dec, int64_t max_prop,
                  int64_t max_lits, double deadline, stop_cb stop) {
+    if (!lits_in_range(dassumps, n_ass)) return -4;
     s->model_n = 0;
     s->core.sz = 0;
     cancel_until(s, 0);
@@ -683,7 +713,7 @@ API int ck_solve(Solver *s, const int32_t *dassumps, int32_t n_ass,
         for (int32_t i = 0; i < n_ass; i++) {
             int32_t d = dassumps[i];
             int32_t v = d < 0 ? -d : d;
-            ck_ensure_vars(s, v);
+            if (!ass || !ck_ensure_vars(s, v)) { free(ass); return -3; }
             ass[i] = 2 * v + (d < 0 ? 1 : 0);
         }
     }
@@ -798,9 +828,10 @@ API int ck_fixed_value(Solver *s, int32_t dlit) {
     return dlit < 0 ? -val : val;
 }
 
-API void ck_set_phase(Solver *s, int32_t var, int phase) {
-    ck_ensure_vars(s, var);
+API int ck_set_phase(Solver *s, int32_t var, int phase) {
+    if (!ck_ensure_vars(s, var)) return 0;
     s->phase[var] = phase ? 0 : 1;
+    return 1;
 }
 
 API int32_t ck_num_clauses(Solver *s) { return s->clauses.sz; }

@@ -95,6 +95,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.ck_free.argtypes = [c_sp]
     lib.ck_new_var.restype = i32
     lib.ck_new_var.argtypes = [c_sp]
+    lib.ck_ensure_vars.restype = ctypes.c_int
     lib.ck_ensure_vars.argtypes = [c_sp, i32]
     lib.ck_num_vars.restype = i32
     lib.ck_num_vars.argtypes = [c_sp]
@@ -103,9 +104,10 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.ck_stat.restype = i64
     lib.ck_stat.argtypes = [c_sp, ctypes.c_int]
     lib.ck_add_clause.restype = ctypes.c_int
-    lib.ck_add_clause.argtypes = [c_sp, ctypes.POINTER(i32), i32]
+    # Literal buffers are passed by address (array("i") storage).
+    lib.ck_add_clause.argtypes = [c_sp, c_sp, i32]
     lib.ck_solve.restype = ctypes.c_int
-    lib.ck_solve.argtypes = [c_sp, ctypes.POINTER(i32), i32,
+    lib.ck_solve.argtypes = [c_sp, c_sp, i32,
                              i64, i64, i64, i64, ctypes.c_double,
                              STOP_CB]
     lib.ck_model_value.restype = ctypes.c_int
@@ -118,6 +120,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.ck_copy_core.argtypes = [c_sp, ctypes.POINTER(i32)]
     lib.ck_fixed_value.restype = ctypes.c_int
     lib.ck_fixed_value.argtypes = [c_sp, i32]
+    lib.ck_set_phase.restype = ctypes.c_int
     lib.ck_set_phase.argtypes = [c_sp, i32, ctypes.c_int]
     lib.ck_num_clauses.restype = i32
     lib.ck_num_clauses.argtypes = [c_sp]

@@ -25,19 +25,21 @@ DIMACS-oriented clause database instead of per-clause Python objects:
   literal-block distance (glue clauses and binaries are kept), and
   the arena is compacted once the dead-clause waste dominates.
 
-The engine is selected through :func:`make_solver` (flag ``solver=
-"kernel"|"reference"`` on every backend, env ``REPRO_SAT_KERNEL``);
-semantics are pinned to the reference implementation by the
-differential suite in ``tests/test_kernel_differential.py`` — both
-engines must return identical verdicts on every workload, and the
-kernel logs the same resolution/DRAT proof steps the reference does,
-so UNSAT cores, Craig interpolation and proof checking work unchanged.
+:func:`make_solver` builds every production solver on this kernel,
+compiled (``ckernel.c``) or interpreted (``REPRO_SAT_CC=off``, or any
+solver with a proof sink).  Semantics are pinned to the reference
+implementation by the differential suite in
+``tests/test_kernel_differential.py`` — both must return identical
+verdicts on every workload, and the kernel logs the same
+resolution/DRAT proof steps the reference does, so UNSAT cores, Craig
+interpolation and proof checking work unchanged.
 """
 
 from __future__ import annotations
 
 import ctypes
 import time
+from array import array
 from heapq import heappop, heappush
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -45,12 +47,15 @@ from ..telemetry.metrics import current_metrics
 from ..telemetry.trace import current_tracer
 from . import ckernel as _ckernel
 from .proof import ResolutionProof
-from .solver import CdclSolver, SolverStats
+from .solver import SolverStats
 from .types import (Budget, BudgetExceeded, SolveResult, from_internal,
-                    resolve_engine, stop_check_installed, stop_requested,
-                    to_internal)
+                    stop_check_installed, stop_requested, to_internal)
 
 __all__ = ["KernelSolver", "make_solver"]
+
+#: Largest variable index either build accepts: the compiled core keeps
+#: internal literals (2v, 2v + 1) in int32 slots.
+MAX_VAR = (1 << 30) - 1
 
 # Arena layout: header words live *before* the clause reference.
 _H_PROOF = -4            # proof id (-1 when no proof is attached)
@@ -62,6 +67,20 @@ _LEARNT = 1
 _DELETED = 2
 
 _UNLIMITED = 1 << 62     # sentinel for "no countable budget limit"
+
+
+def _check_var(v: int) -> None:
+    if v > MAX_VAR:
+        raise ValueError(f"variable {v} out of range: at most {MAX_VAR}")
+
+
+def _int32_lits(dimacs_lits: Iterable[int]) -> array:
+    """Literals as a C int32 buffer; the core range-checks each one."""
+    try:
+        return array("i", dimacs_lits)
+    except OverflowError:
+        raise ValueError(f"literal out of range: variables go up to "
+                         f"{MAX_VAR}") from None
 
 
 def _bkey(a: int, b: int) -> int:
@@ -171,6 +190,7 @@ class KernelSolver:
 
     def ensure_vars(self, up_to: int) -> None:
         """Make sure variables ``1..up_to`` exist."""
+        _check_var(up_to)
         while self._nvars < up_to:
             self.new_var()
 
@@ -207,8 +227,8 @@ class KernelSolver:
         if not self.ok:
             return False
         lits = sorted({to_internal(l) for l in dimacs_lits})
-        for l in lits:
-            self.ensure_vars(l >> 1)
+        if lits:
+            self.ensure_vars(lits[-1] >> 1)
         proof_id = -1
         proof_on = self.proof is not None
         if proof_on:
@@ -887,6 +907,9 @@ class KernelSolver:
     def _solve(self, assumptions: Sequence[int] = (),
                budget: Budget | None = None) -> SolveResult:
         """Uninstrumented body of :meth:`solve`."""
+        internal = [to_internal(l) for l in assumptions]
+        for l in internal:
+            self.ensure_vars(l >> 1)
         self.stats.solve_calls += 1
         b = budget or Budget.unlimited()
         if b.deadline is not None:
@@ -927,9 +950,6 @@ class KernelSolver:
             self._log_final_conflict(conflict)
             return SolveResult.UNSAT
 
-        internal = [to_internal(l) for l in assumptions]
-        for l in internal:
-            self.ensure_vars(l >> 1)
         try:
             return self._search(internal)
         except BudgetExceeded:
@@ -1187,11 +1207,17 @@ class _CKernelSolver(KernelSolver):
 
     def new_var(self) -> int:
         """Allocate a fresh variable; returns its DIMACS index."""
-        return self._lib.ck_new_var(self._h)
+        v = self._lib.ck_new_var(self._h)
+        if v < 0:
+            raise MemoryError("SAT kernel: cannot allocate a variable")
+        return v
 
     def ensure_vars(self, up_to: int) -> None:
         """Make sure variables ``1..up_to`` exist."""
-        self._lib.ck_ensure_vars(self._h, up_to)
+        _check_var(up_to)
+        if not self._lib.ck_ensure_vars(self._h, up_to):
+            raise MemoryError(f"SAT kernel: cannot allocate {up_to} "
+                              f"variables")
 
     @property
     def num_vars(self) -> int:
@@ -1205,14 +1231,19 @@ class _CKernelSolver(KernelSolver):
 
     def set_default_phase(self, dimacs_var: int, phase: bool) -> None:
         """Seed the saved phase of a variable (decision polarity)."""
+        self.ensure_vars(abs(dimacs_var))
         self._lib.ck_set_phase(self._h, abs(dimacs_var),
                                1 if phase else 0)
 
     def add_clause(self, dimacs_lits: Iterable[int]) -> bool:
         """Add a clause; returns False iff the formula is now UNSAT."""
-        lits = list(dimacs_lits)
-        arr = (ctypes.c_int32 * len(lits))(*lits)
-        return bool(self._lib.ck_add_clause(self._h, arr, len(lits)))
+        lits = _int32_lits(dimacs_lits)
+        res = self._lib.ck_add_clause(self._h, *lits.buffer_info())
+        if res >= 0:
+            return res > 0
+        if res == -2:
+            _check_var(max(map(abs, lits)))
+        raise MemoryError("SAT kernel: cannot allocate clause variables")
 
     def add_clauses(self, clause_list: Iterable[Iterable[int]]) -> bool:
         """Add many clauses; returns False if the formula became UNSAT."""
@@ -1230,6 +1261,7 @@ class _CKernelSolver(KernelSolver):
     def _solve(self, assumptions: Sequence[int] = (),
                budget: Budget | None = None) -> SolveResult:
         """Uninstrumented body of :meth:`solve` (C core dispatch)."""
+        assumps = _int32_lits(assumptions)
         self.stats.solve_calls += 1
         b = budget or Budget.unlimited()
         if b.deadline is not None:
@@ -1243,12 +1275,10 @@ class _CKernelSolver(KernelSolver):
         if (deadline >= 0.0 and time.monotonic() > deadline) \
                 or stop_requested():
             return SolveResult.UNKNOWN
-        assumps = list(assumptions)
-        arr = (ctypes.c_int32 * len(assumps))(*assumps)
         probe = _STOP_PROBE if stop_check_installed() \
             else _ckernel.STOP_CB()
         res = self._lib.ck_solve(
-            self._h, arr, len(assumps),
+            self._h, *assumps.buffer_info(),
             _lim(b.max_conflicts), _lim(b.max_decisions),
             _lim(b.max_propagations), _lim(b.max_literals),
             deadline, probe)
@@ -1256,6 +1286,11 @@ class _CKernelSolver(KernelSolver):
             return SolveResult.SAT
         if res == 0:
             return SolveResult.UNSAT
+        if res == -4:
+            _check_var(max(map(abs, assumps)))
+        if res == -3:
+            raise MemoryError("SAT kernel: cannot allocate assumption "
+                              "variables")
         return SolveResult.UNKNOWN
 
     def model_value(self, dimacs_var: int) -> Optional[bool]:
@@ -1298,22 +1333,7 @@ class _CKernelSolver(KernelSolver):
         return -1
 
 
-# ----------------------------------------------------------------------
-# Engine selection
-# ----------------------------------------------------------------------
-def make_solver(engine: str | None = None,
-                proof: ResolutionProof | None = None):
-    """Build a SAT solver for the requested engine.
-
-    ``engine`` is ``"kernel"`` (the array-based core in this module),
-    ``"reference"`` (the pure-Python :class:`CdclSolver` the kernel is
-    differentially pinned against), or None / ``"auto"`` to resolve the
-    process default from ``REPRO_SAT_KERNEL`` (kernel when unset).
-    Both engines share one public surface, one :class:`SolverStats`
-    vocabulary and one proof-logging protocol, so callers never branch
-    on the engine.
-    """
-    engine = resolve_engine(engine)
-    if engine == "kernel":
-        return KernelSolver(proof=proof)
-    return CdclSolver(proof=proof)
+def make_solver(proof: ResolutionProof | None = None) -> KernelSolver:
+    """Build a SAT solver: a :class:`KernelSolver`, compiled when the C
+    core is available and ``proof`` is None, interpreted otherwise."""
+    return KernelSolver(proof=proof)

@@ -18,8 +18,9 @@ memory footprint bounded by a single transition-relation copy.
 The public interface speaks DIMACS literals (signed ints); internally
 the solver uses the MiniSat literal encoding from :mod:`repro.sat.types`.
 
-This is the solver the paper's jSAT is "based on": the evaluation
-compares jSAT against running *this* solver on the unrolled formula (1).
+This is the readable reference the array kernel
+(:mod:`repro.sat.kernel`) is tested against; production queries,
+including jSAT and the unrolled formula (1), run on the kernel.
 """
 
 from __future__ import annotations

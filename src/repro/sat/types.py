@@ -9,69 +9,14 @@ negates and ``lit >> 1`` recovers the variable.
 from __future__ import annotations
 
 import enum
-import os
 import time
 from typing import Callable, List, Optional
 
 __all__ = ["SolveResult", "Budget", "BudgetExceeded", "to_internal",
            "from_internal", "Clause", "UNDEF", "luby",
-           "install_stop_check", "stop_requested", "stop_check_installed",
-           "resolve_engine", "SAT_ENGINES", "DEFAULT_SAT_ENGINE",
-           "SAT_ENGINE_ENV"]
+           "install_stop_check", "stop_requested", "stop_check_installed"]
 
 UNDEF = -1
-
-# ----------------------------------------------------------------------
-# Solver engine selection
-# ----------------------------------------------------------------------
-#: The two CDCL engines sharing one public surface: the array-based
-#: kernel (``sat/kernel.py``) and the pure-Python reference
-#: (``sat/solver.py``) it is differentially pinned against.
-SAT_ENGINES = ("kernel", "reference")
-
-#: The kernel is the default now that the differential gate
-#: (``tests/test_kernel_differential.py``) passes.
-DEFAULT_SAT_ENGINE = "kernel"
-
-#: Environment override consulted when no explicit engine is passed.
-SAT_ENGINE_ENV = "REPRO_SAT_KERNEL"
-
-_ENGINE_ALIASES = {
-    "kernel": "kernel", "fast": "kernel", "array": "kernel",
-    "1": "kernel", "on": "kernel", "true": "kernel", "yes": "kernel",
-    "reference": "reference", "ref": "reference", "python": "reference",
-    "pure": "reference", "0": "reference", "off": "reference",
-    "false": "reference", "no": "reference",
-}
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Normalize a solver-engine request to ``"kernel"`` or ``"reference"``.
-
-    Resolution order: the explicit ``engine`` argument, then the
-    ``REPRO_SAT_KERNEL`` environment variable, then
-    :data:`DEFAULT_SAT_ENGINE`.  ``None``, ``""`` and ``"auto"`` defer
-    to the next level; boolean-style spellings (``on``/``off``,
-    ``1``/``0``) and ``ref``/``python`` aliases are accepted.
-
-    >>> resolve_engine("reference")
-    'reference'
-    >>> resolve_engine("auto") in SAT_ENGINES
-    True
-    """
-    for candidate in (engine, os.environ.get(SAT_ENGINE_ENV)):
-        if candidate is None:
-            continue
-        candidate = candidate.strip().lower()
-        if candidate in ("", "auto"):
-            continue
-        resolved = _ENGINE_ALIASES.get(candidate)
-        if resolved is None:
-            raise ValueError(
-                f"unknown SAT engine {candidate!r}; "
-                f"expected one of {SAT_ENGINES}")
-        return resolved
-    return DEFAULT_SAT_ENGINE
 
 
 def to_internal(dimacs_lit: int) -> int:

@@ -43,8 +43,12 @@ class ServeClient:
         if socket_path is not None:
             self._sock = socket.socket(socket.AF_UNIX,
                                        socket.SOCK_STREAM)
-            self._sock.settimeout(timeout)
-            self._sock.connect(socket_path)
+            try:
+                self._sock.settimeout(timeout)
+                self._sock.connect(socket_path)
+            except OSError:
+                self._sock.close()
+                raise
         else:
             self._sock = socket.create_connection((host, port),
                                                   timeout=timeout)

@@ -39,7 +39,7 @@ import time
 from typing import Callable, Dict, Mapping, Optional, Sequence
 
 from ..logic.expr import Expr
-from ..sat.types import Budget, SolveResult, resolve_engine
+from ..sat.types import Budget, SolveResult
 from ..system.model import TransitionSystem
 from ..system.trace import Trace, TraceError
 from ..telemetry.trace import current_tracer
@@ -158,18 +158,15 @@ class _Cone:
     policy of :func:`~repro.bmc.unroll.low_driver`, kept per cone.
     """
 
-    def __init__(self, reduction, purge_interval: int,
-                 solver: Optional[str] = None) -> None:
+    def __init__(self, reduction, purge_interval: int) -> None:
         self.reduction = reduction
         self.system: TransitionSystem = reduction.system
         self.purge_interval = purge_interval
-        self.engine = resolve_engine(solver)
         self._shared: Optional[Unrolling] = None
         self._low: Optional[Unrolling] = None
 
     def _unrolling(self) -> Unrolling:
-        return Unrolling(self.system, purge_interval=self.purge_interval,
-                         solver=self.engine)
+        return Unrolling(self.system, purge_interval=self.purge_interval)
 
     def unrolling_for(self, k: int) -> Unrolling:
         """The cone's shared unrolling, or the auxiliary low one when
@@ -216,10 +213,6 @@ class PropertyChecker:
     with no single-target reachability form (general bounded-LTL) are
     never escalated.
 
-    ``solver`` selects the SAT engine (``"kernel"`` / ``"reference"``)
-    for every unrolling the checker owns; ``None`` defers to the
-    process default (:func:`repro.sat.types.resolve_engine`).
-
     ``sim_tier`` (default on) tries the bit-parallel random-simulation
     falsifier (:func:`repro.sim.presolve`) on each reachability-style
     query before touching the shared unrolling: a validated simulation
@@ -244,8 +237,7 @@ class PropertyChecker:
                  reduce: object = "off",
                  prover: Optional[str] = None,
                  prover_max_k: int = 64,
-                 sim_tier: bool = True,
-                 solver: Optional[str] = None) -> None:
+                 sim_tier: bool = True) -> None:
         from ..reduce import resolve_reduce
         if prover is not None:
             from ..bmc.backend import backend_class  # deferred: bmc imports spec
@@ -262,7 +254,6 @@ class PropertyChecker:
         self.prover = prover
         self.prover_max_k = prover_max_k
         self.sim_tier = sim_tier
-        self.engine = resolve_engine(solver)
         self._cones: Dict[tuple, _Cone] = {}
         self._assignments: Dict[str, _Cone] = {}
         self._mapped: Dict[str, Property] = {}
@@ -330,8 +321,7 @@ class PropertyChecker:
             key = reduction.cone_key()
             cone = self._cones.get(key)
             if cone is None:
-                cone = _Cone(reduction, self.purge_interval,
-                             solver=self.engine)
+                cone = _Cone(reduction, self.purge_interval)
                 self._cones[key] = cone
             self._assignments[name] = cone
             self._mapped[name] = cone.reduction.map_property(prop)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.bmc import AllSatReachability, check_reachability
+from repro.bmc import AllSatReachability, BmcSession
 from repro.logic import expr as ex
 from repro.models import counter, shift_register
 from repro.sat.types import SolveResult
@@ -97,7 +97,8 @@ class TestSmv:
         oracle = ExplicitOracle(system)
         depth = oracle.shortest_distance(bad)
         assert depth is not None
-        result = check_reachability(system, bad, depth, "jsat")
+        with BmcSession(system, properties={"target": bad}) as session:
+            result = session.check(depth, method="jsat")
         assert result.status is SolveResult.SAT
         result.trace.validate(system, bad)
 

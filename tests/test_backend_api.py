@@ -8,21 +8,15 @@ Pins the api_redesign contract:
   ``sweep`` / ``run_matrix`` / the CLI without editing core modules;
 * typed options reject unknown kwargs (the silent-drop bugfix) and
   ``find_reachable`` validates method *and* strategy up front;
-* the old public functions still work as shims, emit
-  ``DeprecationWarning``, and agree with the session API across the
-  model suite for k = 0..4 (the differential guarantee);
 * session-held backend state really persists across calls, and the
   ``on_bound`` observer streams per-bound progress.
 """
 
-import warnings
-
 import pytest
 
 from repro.bmc import (ALL_METHODS, METHODS, Backend, BackendOptions,
-                       BmcResult, BmcSession, backend_class,
-                       check_reachability, find_reachable, register_backend,
-                       registered_backends, sweep, unregister_backend)
+                       BmcSession, backend_class, register_backend,
+                       registered_backends, unregister_backend)
 from repro.bmc.backends import JsatBackend, PortfolioBackend
 from repro.models import build_suite, counter, shift_register
 from repro.sat.types import Budget, SolveResult
@@ -166,17 +160,23 @@ class TestOptionsStrictness:
     def test_shims_reject_unknown_options_too(self):
         # Regression: these used to be silently dropped.
         system, final, _ = counter.make(3, 5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
+        with BmcSession(system, properties={"target": final}) as session:
             with pytest.raises(TypeError):
-                check_reachability(system, final, 2, "jsat",
-                                   f_prunning=True)
+                session.check(2, method="jsat", f_prunning=True)
             with pytest.raises(TypeError):
-                sweep(system, final, 2, method="sat-incremental",
-                      purge_intervall=2)
+                session.sweep(2, method="sat-incremental",
+                              purge_intervall=2)
             with pytest.raises(TypeError):
-                find_reachable(system, final, 2, method="sat-unroll",
-                               polarty_reduction=False)
+                session.find_reachable(2, method="sat-unroll",
+                                       polarty_reduction=False)
+
+    def test_legacy_qbf_backend_kwarg_still_works(self):
+        system, final, _ = shift_register.make(3)
+        with BmcSession(system, properties={"target": final}) as session:
+            result = session.check(2, method="qbf",
+                                   qbf_backend="expansion",
+                                   budget=Budget(max_seconds=5.0))
+        assert result.status in (SolveResult.SAT, SolveResult.UNKNOWN)
 
     def test_portfolio_broadcast_options_still_work(self):
         # Old API allowed flat kwargs shared across raced methods; each
@@ -290,13 +290,12 @@ class TestUpFrontValidation:
 
     def test_shim_validates_method_and_strategy(self):
         system, final, _ = counter.make(3, 5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
+        with BmcSession(system, properties={"target": final}) as session:
             with pytest.raises(ValueError, match="unknown method"):
-                find_reachable(system, final, 3, method="magic",
-                               strategy="zigzag")
+                session.find_reachable(3, method="magic",
+                                       strategy="zigzag")
             with pytest.raises(ValueError, match="unknown strategy"):
-                find_reachable(system, final, 3, strategy="zigzag")
+                session.find_reachable(3, strategy="zigzag")
 
     def test_negative_bounds_rejected(self):
         system, final, _ = counter.make(3, 5)
@@ -402,12 +401,11 @@ class TestCustomBackendEndToEnd:
 
     def test_through_shims(self, toy_backend):
         system, final, depth = counter.make(3, 5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            result = check_reachability(system, final, depth, toy_backend)
+        with BmcSession(system, properties={"target": final}) as session:
+            result = session.check(depth, method=toy_backend)
             assert result.status is SolveResult.SAT
-            hit, history = find_reachable(system, final, depth + 1,
-                                          method=toy_backend)
+            hit, history = session.find_reachable(depth + 1,
+                                                  method=toy_backend)
             assert hit is not None and hit.k == depth
 
 
@@ -506,72 +504,3 @@ class TestObserver:
         assert hit is not None
         assert [b.k for b in seen] == list(range(depth + 1))
         assert len(seen) == len(history)
-
-
-# ----------------------------------------------------------------------
-class TestShimCompatibility:
-    def test_shims_emit_deprecation_warning(self):
-        system, final, depth = counter.make(3, 5)
-        with pytest.warns(DeprecationWarning, match="BmcSession.check"):
-            check_reachability(system, final, depth, "jsat")
-        with pytest.warns(DeprecationWarning, match="BmcSession.sweep"):
-            sweep(system, final, 2)
-        with pytest.warns(DeprecationWarning,
-                          match="BmcSession.find_reachable"):
-            find_reachable(system, final, 2)
-
-    def test_legacy_qbf_backend_kwarg_still_works(self):
-        system, final, _ = shift_register.make(3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            result = check_reachability(system, final, 2, "qbf",
-                                        qbf_backend="expansion",
-                                        budget=Budget(max_seconds=5.0))
-        assert result.status in (SolveResult.SAT, SolveResult.UNKNOWN)
-        bad = check_reachability.__wrapped__ \
-            if hasattr(check_reachability, "__wrapped__") else None
-        assert bad is None   # plain function, no decorator magic
-
-    @pytest.mark.parametrize("method",
-                             ("sat-unroll", "sat-incremental", "jsat"))
-    def test_differential_shim_vs_session(self, method):
-        """Old-API shims and new-API sessions must agree — verdict and
-        witness — across the model suite for k = 0..4."""
-        picked = {}
-        for inst in build_suite():
-            if inst.family not in picked and inst.k >= 2:
-                picked[inst.family] = inst
-        instances = list(picked.values())[:6]
-        for inst in instances:
-            with BmcSession(inst.system, properties={"target": inst.final}) as session:
-                for k in range(5):
-                    new = session.check(k, method=method)
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore",
-                                              DeprecationWarning)
-                        old = check_reachability(inst.system, inst.final,
-                                                 k, method)
-                    assert old.status is new.status, \
-                        (inst.name, method, k)
-                    for result in (old, new):
-                        if result.trace is not None:
-                            result.trace.validate(inst.system, inst.final)
-                            assert result.trace.length == k
-
-    def test_differential_sweep_shim_vs_session(self):
-        system, final, depth = counter.make(4, 9)
-        with BmcSession(system, properties={"target": final}) as session:
-            new = session.sweep(depth + 1, method="sat-incremental")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = sweep(system, final, depth + 1,
-                        method="sat-incremental")
-        assert old.shortest_k == new.shortest_k == depth
-        assert [b.status for b in old.per_bound] \
-            == [b.status for b in new.per_bound]
-
-    def test_result_type_unchanged(self):
-        # Downstream code isinstance-checks BmcResult from any import
-        # path; the engine re-export must be the same class.
-        from repro.bmc.engine import BmcResult as EngineResult
-        assert EngineResult is BmcResult

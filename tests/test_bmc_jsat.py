@@ -144,12 +144,13 @@ class TestSpaceBehaviour:
         assert sizes[-1] <= sizes[0]
 
     def test_peak_much_smaller_than_unrolled(self):
-        from repro.bmc import check_reachability
+        from repro.bmc import BmcSession
         system, final, _ = counter.make(6, 63)
         target = ex.var("c5")
         k = 40
-        unrolled = check_reachability(system, target, k, "sat-unroll")
-        jsat = check_reachability(system, target, k, "jsat")
+        with BmcSession(system, properties={"target": target}) as session:
+            unrolled = session.check(k, method="sat-unroll")
+            jsat = session.check(k, method="jsat")
         assert jsat.status is unrolled.status
         assert (jsat.stats["peak_db_literals"] * 2
                 < unrolled.stats["solver_peak_db_literals"])

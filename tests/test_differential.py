@@ -15,13 +15,14 @@ this suite turns that into a correctness harness:
   ``within(k) ⇔ ∃ j <= k: exact(j)``.
 """
 
+import contextlib
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bdd.reachability import BddReachability
-from repro.bmc import check_reachability, sweep
+from repro.bmc import BmcSession
 from repro.models import build_suite
 from repro.sat.types import SolveResult
 from repro.system import ExplicitOracle, random_predicate, random_system
@@ -45,6 +46,16 @@ def _family_representatives():
 REPRESENTATIVES = _family_representatives()
 
 
+def _check(system, final, k, method, **options):
+    with BmcSession(system, properties={"target": final}) as session:
+        return session.check(k, method=method, **options)
+
+
+def _sweep(system, final, max_k, method):
+    with BmcSession(system, properties={"target": final}) as session:
+        return session.sweep(max_k, method=method)
+
+
 @pytest.mark.parametrize("instance", REPRESENTATIVES,
                          ids=[i.family for i in REPRESENTATIVES])
 def test_methods_agree_on_family(instance):
@@ -56,7 +67,7 @@ def test_methods_agree_on_family(instance):
     for k in range(MAX_K + 1):
         verdicts = {}
         for method in SAT_METHODS:
-            result = check_reachability(system, final, k, method)
+            result = _check(system, final, k, method)
             assert result.status is not SolveResult.UNKNOWN, \
                 (instance.name, k, method)
             verdicts[method] = result.status
@@ -82,8 +93,7 @@ def test_within_semantics_agree_on_family(instance):
     for k in (0, 2, MAX_K):
         verdicts = {}
         for method in SAT_METHODS:
-            result = check_reachability(system, final, k, method,
-                                        semantics="within")
+            result = _check(system, final, k, method, semantics="within")
             verdicts[method] = result.status
             if result.trace is not None:
                 result.trace.validate(system, final)
@@ -108,9 +118,9 @@ class TestRandomSystems:
         system = random_system(rng, num_latches=3, num_inputs=1, depth=2)
         final = random_predicate(rng, system)
         max_k = 4
-        unroll = [check_reachability(system, final, k, "sat-unroll").status
+        unroll = [_check(system, final, k, "sat-unroll").status
                   for k in range(max_k + 1)]
-        swept = sweep(system, final, max_k, method="sat-incremental")
+        swept = _sweep(system, final, max_k, method="sat-incremental")
         for bound in swept.per_bound:
             assert bound.status is unroll[bound.k], (seed, bound.k)
         sat_bounds = [k for k, s in enumerate(unroll)
@@ -128,15 +138,14 @@ class TestRandomSystems:
         system = random_system(rng, num_latches=3, num_inputs=1, depth=2)
         final = random_predicate(rng, system)
         max_k = 4
-        exact = [check_reachability(system, final, k, "sat-unroll").status
+        exact = [_check(system, final, k, "sat-unroll").status
                  for k in range(max_k + 1)]
         for k in range(max_k + 1):
             want = (SolveResult.SAT
                     if any(s is SolveResult.SAT for s in exact[:k + 1])
                     else SolveResult.UNSAT)
             for method in ("sat-unroll", "sat-incremental"):
-                got = check_reachability(system, final, k, method,
-                                         semantics="within")
+                got = _check(system, final, k, method, semantics="within")
                 assert got.status is want, (seed, k, method)
                 if got.trace is not None:
                     got.trace.validate(system, final)
@@ -144,19 +153,20 @@ class TestRandomSystems:
                                    for s in got.trace.states[:-1])
 
 class TestEngineLegs:
-    """The same sweep with one leg pinned to each SAT engine via
-    ``REPRO_SAT_KERNEL``: the engine choice must be invisible in every
-    verdict, shortest bound, and witness."""
+    """The same sweep with one leg pinned to the reference solver via
+    the ``reference_leg`` fixture: the engine choice must be invisible
+    in every verdict, shortest bound, and witness."""
 
     @pytest.mark.parametrize("instance", REPRESENTATIVES[::3],
                              ids=[i.family for i in REPRESENTATIVES[::3]])
-    def test_suite_sweep_engine_invariant(self, instance, monkeypatch):
+    def test_suite_sweep_engine_invariant(self, instance, reference_leg):
         system, final = instance.system, instance.final
         legs = {}
-        for engine in ("reference", "kernel"):
-            monkeypatch.setenv("REPRO_SAT_KERNEL", engine)
-            legs[engine] = sweep(system, final, MAX_K,
-                                 method="sat-incremental")
+        with reference_leg():
+            legs["reference"] = _sweep(system, final, MAX_K,
+                                       method="sat-incremental")
+        legs["kernel"] = _sweep(system, final, MAX_K,
+                                method="sat-incremental")
         ref, ker = legs["reference"], legs["kernel"]
         assert ref.status is ker.status, instance.name
         assert ref.shortest_k == ker.shortest_k, instance.name
@@ -169,27 +179,20 @@ class TestEngineLegs:
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=10, **COMMON)
-    def test_methods_engine_matrix_agrees(self, seed):
+    def test_methods_engine_matrix_agrees(self, reference_leg, seed):
         rng = random.Random(seed)
         system = random_system(rng, num_latches=3, num_inputs=1, depth=2)
         final = random_predicate(rng, system)
-        import os
-        previous = os.environ.get("REPRO_SAT_KERNEL")
         verdicts = {}
-        try:
-            for engine in ("reference", "kernel"):
-                os.environ["REPRO_SAT_KERNEL"] = engine
+        for engine in ("reference", "kernel"):
+            leg = (reference_leg() if engine == "reference"
+                   else contextlib.nullcontext())
+            with leg:
                 for method in SAT_METHODS:
                     for k in (0, 2, 4):
-                        result = check_reachability(system, final, k,
-                                                    method)
+                        result = _check(system, final, k, method)
                         verdicts.setdefault((method, k), set()).add(
                             result.status)
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_SAT_KERNEL", None)
-            else:
-                os.environ["REPRO_SAT_KERNEL"] = previous
         for key, statuses in verdicts.items():
             assert len(statuses) == 1, (seed, key, statuses)
 
@@ -201,7 +204,7 @@ class TestRandomSweeps:
         rng = random.Random(seed)
         system = random_system(rng, num_latches=3, num_inputs=0, depth=2)
         final = random_predicate(rng, system)
-        results = {method: sweep(system, final, 4, method=method)
+        results = {method: _sweep(system, final, 4, method=method)
                    for method in SAT_METHODS}
         shortest = {m: r.shortest_k for m, r in results.items()}
         assert len(set(shortest.values())) == 1, (seed, shortest)

@@ -112,13 +112,16 @@ class TestReports:
         assert "sat-unroll" in text and "jsat" in text
 
     def test_sweep_report(self):
-        from repro.bmc import sweep
+        from repro.bmc import BmcSession
         from repro.harness import format_sweep
         system, final, depth = counter.make(4, 9)
-        text = format_sweep(sweep(system, final, depth + 2))
+        with BmcSession(system, properties={"target": final}) as session:
+            swept = session.sweep(depth + 2, method="sat-incremental")
+        text = format_sweep(swept)
         assert "clauses reused" in text
         assert f"shortest counterexample: k={depth}" in text
-        unsat = sweep(system, final, depth - 1)
+        with BmcSession(system, properties={"target": final}) as session:
+            unsat = session.sweep(depth - 1, method="sat-incremental")
         text = format_sweep(unsat)
         assert "no counterexample" in text and "UNSAT" in text
 

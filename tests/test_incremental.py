@@ -8,12 +8,21 @@ cache), and the uniform within-mode trace shortening.
 
 import pytest
 
-from repro.bmc import IncrementalBmc, check_reachability, sweep
-from repro.bmc.engine import METHODS
+from repro.bmc import METHODS, BmcSession, IncrementalBmc
 from repro.bmc.incremental import SweepBudget
 from repro.bmc.jsat import JsatSolver
 from repro.models import counter, gray, mutex, shift_register
 from repro.sat.types import Budget, SolveResult
+
+
+def _check(system, final, k, method, **options):
+    with BmcSession(system, properties={"target": final}) as session:
+        return session.check(k, method=method, **options)
+
+
+def _sweep(system, final, max_k, method, **options):
+    with BmcSession(system, properties={"target": final}) as session:
+        return session.sweep(max_k, method=method, **options)
 
 
 class TestIncrementalBmc:
@@ -178,8 +187,8 @@ class TestEngineSweep:
         system, final, depth = shift_register.make(3)
         budget = Budget(max_seconds=10.0, max_decisions=200_000)
         for method in METHODS:
-            result = sweep(system, final, depth + 1, method=method,
-                           budget=budget)
+            result = _sweep(system, final, depth + 1, method=method,
+                            budget=budget)
             assert result.method == method
             assert result.status is SolveResult.SAT, method
             if method == "qbf-squaring":
@@ -203,8 +212,8 @@ class TestEngineSweep:
         # rungs the QBF solver cannot finish in budget end the sweep
         # with UNKNOWN, so the recorded ks are a prefix of the ladder.
         system, final, _ = shift_register.make_invariant_violation(4)
-        result = sweep(system, final, 8, method="qbf-squaring",
-                       budget=Budget(max_seconds=5.0))
+        result = _sweep(system, final, 8, method="qbf-squaring",
+                        budget=Budget(max_seconds=5.0))
         ladder = [0, 1, 2, 4, 8]
         ks = [b.k for b in result.per_bound]
         assert ks == ladder[:len(ks)]
@@ -216,11 +225,11 @@ class TestEngineSweep:
     def test_sweep_rejects_unknown_method(self):
         system, final, _ = counter.make(3, 5)
         with pytest.raises(ValueError):
-            sweep(system, final, 2, method="magic")
+            _sweep(system, final, 2, method="magic")
 
     def test_native_jsat_sweep_keeps_nogood_cache(self):
         system, final, _ = mutex.make_exclusion_check()
-        result = sweep(system, final, 6, method="jsat")
+        result = _sweep(system, final, 6, method="jsat")
         assert result.status is SolveResult.UNSAT
         entries = [b.stats["cache_entries"] for b in result.per_bound]
         # The cache survives retargeting: it only ever grows.
@@ -232,7 +241,7 @@ class TestEngineSweep:
         # purges, so the resident database does not accumulate root
         # blocking clauses across the sweep (the paper's space claim).
         system, final, _ = mutex.make_exclusion_check()
-        result = sweep(system, final, 6, method="jsat")
+        result = _sweep(system, final, 6, method="jsat")
         resident = [b.stats["resident_literals"] for b in result.per_bound]
         assert resident[-1] <= 2 * resident[0]
 
@@ -255,8 +264,8 @@ class TestIncrementalMethod:
     def test_exact_matches_unroll(self):
         system, final, depth = gray.make(4)
         for k in (depth - 1, depth, depth + 1):
-            a = check_reachability(system, final, k, "sat-unroll")
-            b = check_reachability(system, final, k, "sat-incremental")
+            a = _check(system, final, k, "sat-unroll")
+            b = _check(system, final, k, "sat-incremental")
             assert a.status is b.status, k
             if b.status is SolveResult.SAT:
                 b.trace.validate(system, final)
@@ -264,8 +273,8 @@ class TestIncrementalMethod:
 
     def test_within_returns_shortest_hit(self):
         system, final, depth = counter.make(4, 3)
-        result = check_reachability(system, final, depth + 4,
-                                    "sat-incremental", semantics="within")
+        result = _check(system, final, depth + 4,
+                        "sat-incremental", semantics="within")
         assert result.status is SolveResult.SAT
         # The sweep refuted every smaller bound, so the witness is the
         # true shortest path — its only final state is the last one.
@@ -275,8 +284,8 @@ class TestIncrementalMethod:
 
     def test_incremental_stats_expose_reuse(self):
         system, final, depth = counter.make(4, 9)
-        result = check_reachability(system, final, depth,
-                                    "sat-incremental")
+        result = _check(system, final, depth,
+                        "sat-incremental")
         assert result.stats["trans_frames"] == depth
         assert result.stats["clauses_reused"] >= 0
         assert "learnts_retained" in result.stats
@@ -285,12 +294,12 @@ class TestIncrementalMethod:
 class TestUniformWithinShortening:
     def test_every_trace_method_shortens_within_traces(self):
         # The fix: _shorten_to_final used to run only inside
-        # _check_unroll; now check_reachability applies it to whatever
+        # _check_unroll; now the session applies it to whatever
         # the back end returned.
         system, final, depth = counter.make(4, 3)
         for method in ("sat-unroll", "sat-incremental", "jsat"):
-            result = check_reachability(system, final, depth + 4, method,
-                                        semantics="within")
+            result = _check(system, final, depth + 4, method,
+                            semantics="within")
             assert result.status is SolveResult.SAT, method
             assert result.trace is not None, method
             result.trace.validate(system, final)

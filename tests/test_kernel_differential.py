@@ -19,7 +19,11 @@ Three layers of agreement:
   must leave both engines answering identically afterwards.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -28,11 +32,10 @@ from repro.bmc.incremental import IncrementalBmc
 from repro.logic.cnf import CNF
 from repro.sat.ckernel import CORE_ENV, compiled_available
 from repro.sat.dpll import brute_force_sat
-from repro.sat.kernel import KernelSolver, make_solver
+from repro.sat.kernel import KernelSolver
 from repro.sat.proof import DratProof, ResolutionProof
 from repro.sat.solver import CdclSolver
-from repro.sat.types import (Budget, SolveResult, install_stop_check,
-                             resolve_engine)
+from repro.sat.types import Budget, SolveResult, install_stop_check
 from repro.system import ExplicitOracle, random_predicate, random_system
 
 COMMON = dict(deadline=None,
@@ -42,6 +45,9 @@ COMMON = dict(deadline=None,
 #: Kernel backends under test; the compiled leg is skipped gracefully
 #: when no C compiler is present (the pure-Python path is always on).
 BACKENDS = ["interpreted", "compiled"]
+
+#: The two CDCL implementations under comparison, by name.
+ENGINES = {"reference": CdclSolver, "kernel": KernelSolver}
 
 
 @pytest.fixture(params=BACKENDS)
@@ -95,8 +101,8 @@ class TestRandomCnf:
         cnf = _random_cnf(rng, num_vars, rng.randint(1, 4 * num_vars))
         expected, _ = brute_force_sat(cnf)
 
-        for engine in ("reference", "kernel"):
-            solver = make_solver(engine)
+        for engine, solver_cls in ENGINES.items():
+            solver = solver_cls()
             solver.ensure_vars(cnf.num_vars)
             loaded = solver.add_clauses(cnf.clauses)
             status = solver.solve() if loaded else SolveResult.UNSAT
@@ -198,27 +204,32 @@ class TestGroupRetirement:
 class TestRandomUnrollings:
     @given(st.integers(0, 100_000))
     @settings(max_examples=15, **COMMON)
-    def test_incremental_bmc_engines_agree(self, seed):
+    def test_incremental_bmc_engines_agree(self, reference_leg, seed):
         rng = random.Random(seed)
         system = random_system(rng, num_latches=3, num_inputs=1, depth=2)
         final = random_predicate(rng, system)
         oracle = ExplicitOracle(system)
-        drivers = {engine: IncrementalBmc(system, final, solver=engine)
-                   for engine in ("reference", "kernel")}
-        for k in range(7):
-            verdicts = {}
-            for engine, driver in drivers.items():
+
+        def leg(engine):
+            driver = IncrementalBmc(system, final)
+            verdicts = []
+            for k in range(7):
                 status, trace, _ = driver.check_bound(k)
-                verdicts[engine] = status
+                verdicts.append(status)
                 if status is SolveResult.SAT:
                     assert trace is not None, (seed, k, engine)
                     trace.validate(system, final)
                     assert trace.length == k
                 driver.retire_bound(k)
-            assert verdicts["reference"] is verdicts["kernel"], (seed, k)
+            return verdicts
+
+        with reference_leg():
+            reference = leg("reference")
+        kernel = leg("kernel")
+        for k in range(7):
+            assert reference[k] is kernel[k], (seed, k)
             want = oracle.reachable_in_exactly(final, k)
-            assert (verdicts["kernel"] is SolveResult.SAT) == want, \
-                (seed, k)
+            assert (kernel[k] is SolveResult.SAT) == want, (seed, k)
 
 
 # ----------------------------------------------------------------------
@@ -318,8 +329,6 @@ class TestStatsSanity:
         solver = _fresh_kernel(kernel_backend)
         assert solver.engine == "kernel"
         assert CdclSolver().engine == "reference"
-        assert resolve_engine("fast") == "kernel"
-        assert resolve_engine("ref") == "reference"
 
 
 # ----------------------------------------------------------------------
@@ -330,7 +339,7 @@ class TestUnsatProofs:
     @pytest.mark.parametrize("proof_cls", [ResolutionProof, DratProof])
     def test_pigeonhole_refutation_validates(self, engine, proof_cls):
         proof = proof_cls()
-        solver = make_solver(engine, proof=proof)
+        solver = ENGINES[engine](proof=proof)
         _pigeonhole(solver, holes=4)
         assert solver.solve() is SolveResult.UNSAT
         assert proof.check_refutation(solver.empty_clause_proof)
@@ -340,10 +349,65 @@ class TestUnsatProofs:
         """Proof logging across add/solve rounds: the refutation logged
         after the second batch still replays."""
         proof = DratProof()
-        solver = make_solver(engine, proof=proof)
+        solver = ENGINES[engine](proof=proof)
         solver.ensure_vars(3)
         solver.add_clauses([[1, 2], [-1, 2], [1, -2]])
         assert solver.solve() is SolveResult.SAT
         solver.add_clauses([[-1, -2]])
         assert solver.solve() is SolveResult.UNSAT
         assert proof.check_refutation(solver.empty_clause_proof)
+
+
+# ----------------------------------------------------------------------
+# Out-of-range input: an exception, never a crash of the caller
+# ----------------------------------------------------------------------
+_CHILD = textwrap.dedent("""
+    import resource, sys
+    from repro.sat.kernel import KernelSolver
+    solver = KernelSolver()
+    assert solver.backend == sys.argv[1], solver.backend
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    try:
+        eval(sys.argv[2], {"s": solver})
+    except (ValueError, MemoryError) as exc:
+        print(type(exc).__name__)
+    solver.add_clause([1, 2])
+    print(solver.solve([-1]).name)
+""")
+
+
+def _run_child(backend, call):
+    """Run ``call`` on a fresh KernelSolver ``s`` in a child process
+    whose address space is capped at 1 GiB."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    if backend == "interpreted":
+        env[CORE_ENV] = "off"
+    else:
+        env.pop(CORE_ENV, None)
+    return subprocess.run([sys.executable, "-c", _CHILD, backend, call],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+class TestOutOfRangeInput:
+    @pytest.mark.parametrize("backend,call,error", [
+        ("compiled", "s.add_clause([1 << 30])", "ValueError"),
+        ("compiled", "s.add_clause([-(1 << 31)])", "ValueError"),
+        ("compiled", "s.solve([1 << 29])", "MemoryError"),
+        ("compiled", "s.ensure_vars(1 << 29)", "MemoryError"),
+        ("compiled", "s.ensure_vars(1 << 26)", "MemoryError"),
+        ("interpreted", "s.add_clause([1 << 30])", "ValueError"),
+        ("interpreted", "s.add_clause([-(1 << 31)])", "ValueError"),
+        ("interpreted", "s.solve([1 << 30])", "ValueError"),
+        ("interpreted", "s.ensure_vars(1 << 30)", "ValueError"),
+    ])
+    def test_raises_and_stays_usable(self, backend, call, error):
+        if backend == "compiled" and not compiled_available():
+            pytest.skip("no C compiler for the compiled kernel core")
+        child = _run_child(backend, call)
+        assert child.returncode == 0, (child.returncode, child.stderr)
+        assert child.stdout.split() == [error, "SAT"], child.stdout

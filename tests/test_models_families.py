@@ -6,12 +6,17 @@ explicit-state oracle (or SAT-BMC for the larger state spaces).
 
 import pytest
 
-from repro.bmc import check_reachability
+from repro.bmc import BmcSession
 from repro.models import (arbiter, barrel, cache_msi, counter, elevator,
                           fifo, gray, lfsr, mixer, mutex, pipeline,
                           shift_register, traffic, vending)
 from repro.sat.types import SolveResult
 from repro.system import ExplicitOracle
+
+
+def _check(system, final, k, method, **options):
+    with BmcSession(system, properties={"target": final}) as session:
+        return session.check(k, method=method, **options)
 
 
 def assert_depth_by_oracle(system, final, depth):
@@ -21,17 +26,17 @@ def assert_depth_by_oracle(system, final, depth):
 
 def assert_depth_by_bmc(system, final, depth, check_below=True):
     if check_below and depth > 0:
-        r = check_reachability(system, final, depth - 1, "sat-unroll",
-                               semantics="within")
+        r = _check(system, final, depth - 1, "sat-unroll",
+                   semantics="within")
         assert r.status is SolveResult.UNSAT
-    r = check_reachability(system, final, depth, "sat-unroll")
+    r = _check(system, final, depth, "sat-unroll")
     assert r.status is SolveResult.SAT
     r.trace.validate(system, final)
 
 
 def assert_unreachable_by_bmc(system, final, up_to):
-    r = check_reachability(system, final, up_to, "sat-unroll",
-                           semantics="within")
+    r = _check(system, final, up_to, "sat-unroll",
+               semantics="within")
     assert r.status is SolveResult.UNSAT
 
 

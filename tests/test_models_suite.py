@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.bmc import check_reachability
+from repro.bmc import BmcSession
 from repro.models import FAMILIES, build_suite, suite_summary
 from repro.sat.types import SolveResult
 
@@ -49,8 +49,9 @@ def test_ground_truth_spot_check(suite):
     """Verify a random sample of instances against SAT-BMC."""
     rng = random.Random(0)
     for inst in rng.sample(suite, 25):
-        result = check_reachability(inst.system, inst.final, inst.k,
-                                    "sat-unroll")
+        with BmcSession(inst.system,
+                        properties={"target": inst.final}) as session:
+            result = session.check(inst.k, method="sat-unroll")
         want = SolveResult.SAT if inst.expected else SolveResult.UNSAT
         assert result.status is want, inst.name
 

@@ -48,7 +48,7 @@ def _kernel_execute(payload):
     def var(i, j):
         return i * holes + j + 1
 
-    solver = make_solver("kernel")
+    solver = make_solver()
     solver.ensure_vars((holes + 1) * holes)
     for i in range(holes + 1):
         solver.add_clause([var(i, j) for j in range(holes)])

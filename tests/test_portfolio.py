@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.bmc.engine import check_reachability
+from repro.bmc import BmcSession
 from repro.harness.runner import run_matrix
 from repro.logic import expr as ex
 from repro.models import build_suite, counter
@@ -68,7 +68,8 @@ class TestIpc:
 
     def test_outcome_roundtrip_with_trace(self):
         system, final, depth = counter.make(3, 5)
-        result = check_reachability(system, final, depth, "sat-unroll")
+        with BmcSession(system, properties={"target": final}) as session:
+            result = session.check(depth, method="sat-unroll")
         assert result.status is SolveResult.SAT
         outcome = decode_outcome(encode_outcome(result))
         assert outcome["status"] is SolveResult.SAT
@@ -76,7 +77,7 @@ class TestIpc:
 
     def test_execute_cell_never_raises(self):
         system, final, _ = counter.make(3, 5)
-        # A bogus QBF backend makes check_reachability raise; the worker
+        # A bogus QBF backend makes the check raise; the worker
         # wrapper must fold that into an error outcome, not propagate.
         payload = make_cell_payload(
             system, final, 2, "qbf", semantics="exact",
@@ -186,8 +187,9 @@ class TestRace:
 
     def test_engine_portfolio_method(self):
         system, final, depth = counter.make(3, 5)
-        result = check_reachability(system, final, depth, "portfolio",
-                                    budget=Budget(max_seconds=10.0))
+        with BmcSession(system, properties={"target": final}) as session:
+            result = session.check(depth, method="portfolio",
+                                   budget=Budget(max_seconds=10.0))
         assert result.status is SolveResult.SAT
         assert result.method == "portfolio"
         assert "portfolio_winner" in result.stats

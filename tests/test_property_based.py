@@ -131,7 +131,7 @@ class TestQbfProperties:
 
 
 def _check(system, final, k, method, semantics="exact"):
-    """Session-API reachability query (check_reachability is deprecated)."""
+    """Session-API reachability query."""
     with BmcSession(system, properties={"target": final}) as session:
         return session.check(k, method=method, semantics=semantics)
 

@@ -11,8 +11,10 @@ checkpoint when the worker's stop event fires.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import warnings
 from types import SimpleNamespace
 
 import pytest
@@ -465,6 +467,16 @@ class TestServeCli:
         err = capsys.readouterr().err
         assert rc == 1
         assert "cannot reach daemon" in err
+
+    def test_failed_connect_closes_socket(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(OSError):
+                ServeClient(socket_path=str(tmp_path / "absent.sock"))
+            gc.collect()
+        leaks = [w for w in caught
+                 if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
 
     def test_endpoint_required(self, capsys):
         rc = cli.main(["status"])

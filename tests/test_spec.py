@@ -233,15 +233,6 @@ class TestSessionProperties:
         # No bound past the resolution point was queried.
         assert max(k for _, k in events) == self.depth
 
-    def test_deprecated_final_shim(self):
-        with pytest.deprecated_call():
-            session = BmcSession(self.system, self.final)
-        with session:
-            assert session.final is self.final
-            assert session.properties == {"target": Reachable(self.final)}
-            result = session.check(self.depth)
-        assert result.status is SolveResult.SAT
-
     def test_final_derived_from_single_property(self):
         with BmcSession(self.system, properties={
                 "safe": Invariant(ex.mk_not(self.final))}) as session:

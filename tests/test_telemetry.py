@@ -17,6 +17,7 @@ from repro.harness.report import format_metrics
 from repro.harness.runner import run_matrix
 from repro.models import build_suite, counter
 from repro.portfolio import BatchScheduler, ResultCache, race
+from repro.sat.kernel import make_solver
 from repro.sat.types import Budget
 from repro.telemetry import (NULL_TRACER, MetricsRegistry, NullTracer,
                              Tracer, current_metrics, current_tracer,
@@ -284,6 +285,28 @@ class TestInstrumentation:
         assert loads
         assert sum(e["args"]["clauses"] for e in loads) == \
             len(inc.cnf.clauses)
+
+    @pytest.mark.parametrize("method", ["sat-unroll", "jsat"])
+    def test_sat_load_spans_match_loaded_clauses(self, telemetry,
+                                                  monkeypatch, method):
+        tracer, _ = telemetry
+        loaded = []
+        solver_cls = type(make_solver())
+        add_clauses = solver_cls.add_clauses
+
+        def counting_add_clauses(self, clauses):
+            clauses = list(clauses)
+            loaded.append(len(clauses))
+            return add_clauses(self, clauses)
+
+        monkeypatch.setattr(solver_cls, "add_clauses", counting_add_clauses)
+        system, final, depth = counter.make(4, 9)
+        with BmcSession(system, properties={"target": final}) as session:
+            session.check(depth, method=method)
+        loads = [e["args"]["clauses"] for e in tracer.events()
+                 if e["name"] == "sat.load"]
+        assert loads
+        assert loads == loaded
 
 
 # ----------------------------------------------------------------------
