@@ -24,6 +24,7 @@ True
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Mapping, Tuple
 
@@ -47,6 +48,7 @@ __all__ = [
     "simplify_with",
     "expr_size",
     "clear_intern_cache",
+    "interning_scope",
 ]
 
 # Node operator tags.  Kept as plain strings for debuggability.
@@ -501,3 +503,22 @@ def clear_intern_cache() -> None:
     _intern_table.clear()
     _intern_table[(_CONST, (), None, True)] = TRUE
     _intern_table[(_CONST, (), None, False)] = FALSE
+
+
+@contextlib.contextmanager
+def interning_scope() -> Iterator[None]:
+    """Forget, on exit, every node first interned inside the block.
+
+    Nodes that existed before the block are untouched, so the table
+    leaves the block as it entered it, and what is built after the
+    block is canonicalised (``uid`` order) exactly as if the block had
+    never run.  Nodes built inside stay valid as values, with the same
+    caveat as :func:`clear_intern_cache`: do not mix them with nodes
+    built after the block.
+    """
+    mark = len(_intern_table)
+    try:
+        yield
+    finally:
+        for key in list(itertools.islice(_intern_table, mark, None)):
+            del _intern_table[key]

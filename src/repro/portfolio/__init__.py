@@ -7,7 +7,8 @@ Layers (bottom up):
 * :mod:`repro.portfolio.pool` — :class:`WorkerPool`, one-task-per-
   worker processes with hard wall-clock enforcement and respawn;
 * :mod:`repro.portfolio.race` — :func:`race`, first conclusive answer
-  wins, witnesses validated, losers killed (``method="portfolio"`` in
+  wins, witnesses validated, losers cancelled on a warm
+  :class:`WorkerPool` (``method="portfolio"`` in
   :meth:`repro.bmc.session.BmcSession.check`);
 * :mod:`repro.portfolio.cache` — :class:`ResultCache`, keyed by
   semantic fingerprints of (model, bound, method, budget);

@@ -21,13 +21,14 @@ from ..logic.expr import Expr
 from ..sat.types import Budget, SolveResult
 from ..system.model import TransitionSystem
 from ..system.trace import Trace
-from ..telemetry.metrics import MetricsRegistry, set_metrics
-from ..telemetry.trace import NULL_TRACER, Tracer, set_tracer
+from ..telemetry.metrics import MetricsRegistry, current_metrics, set_metrics
+from ..telemetry.trace import NULL_TRACER, Tracer, current_tracer, set_tracer
 
 __all__ = ["budget_to_dict", "budget_from_dict", "make_cell_payload",
            "execute_cell", "encode_outcome", "encode_sweep_outcome",
-           "decode_outcome", "outcome_to_result", "set_progress_sink",
-           "emit_progress"]
+           "encode_trace", "decode_trace", "decode_outcome",
+           "outcome_to_result", "strip_run_keys", "merge_telemetry",
+           "set_progress_sink", "emit_progress"]
 
 _BUDGET_FIELDS = ("max_conflicts", "max_decisions", "max_propagations",
                   "max_seconds", "max_literals")
@@ -216,10 +217,6 @@ def encode_sweep_outcome(sweep: SweepResult) -> Dict[str, Any]:
     ``kind: "sweep"`` plus ``max_k`` / ``per_bound`` preserve the
     ladder itself.
     """
-    trace = None
-    if sweep.trace is not None:
-        trace = {"states": [dict(s) for s in sweep.trace.states],
-                 "inputs": [dict(i) for i in sweep.trace.inputs]}
     shortest = sweep.shortest_k
     return {
         "status": sweep.status.name,
@@ -227,7 +224,7 @@ def encode_sweep_outcome(sweep: SweepResult) -> Dict[str, Any]:
         "method": sweep.method,
         "seconds": sweep.seconds,
         "stats": {"bounds_checked": len(sweep.per_bound)},
-        "trace": trace,
+        "trace": encode_trace(sweep.trace),
         "proved": bool(sweep.proved),
         "invariant": None,
         "error": None,
@@ -250,24 +247,29 @@ def encode_outcome(result: BmcResult) -> Dict[str, Any]:
     (it pickles via re-interning, like the payload's system/target);
     cache writers must strip it first — the result cache stores JSON.
     """
-    trace = None
-    if result.trace is not None:
-        trace = {"states": [dict(s) for s in result.trace.states],
-                 "inputs": [dict(i) for i in result.trace.inputs]}
     return {
         "status": result.status.name,
         "k": result.k,
         "method": result.method,
         "seconds": result.seconds,
         "stats": dict(result.stats),
-        "trace": trace,
+        "trace": encode_trace(result.trace),
         "proved": bool(result.proved),
         "invariant": result.invariant,
         "error": None,
     }
 
 
+def encode_trace(trace: Optional[Trace]) -> Optional[Dict[str, Any]]:
+    """Trace -> plain dict of state and input lists (None stays None)."""
+    if trace is None:
+        return None
+    return {"states": [dict(s) for s in trace.states],
+            "inputs": [dict(i) for i in trace.inputs]}
+
+
 def decode_trace(data: Optional[Dict[str, Any]]) -> Optional[Trace]:
+    """Inverse of :func:`encode_trace`."""
     if data is None:
         return None
     return Trace(data["states"], data["inputs"])
@@ -291,3 +293,30 @@ def outcome_to_result(outcome: Dict[str, Any]) -> BmcResult:
                      decoded["method"], decoded["seconds"],
                      decoded["stats"], proved=decoded["proved"],
                      invariant=decoded["invariant"])
+
+
+# Per-run keys that must never be cached or sent out as JSON: worker
+# identity and the run's own telemetry are properties of the run that
+# produced the outcome, not of the query.  ``invariant`` is a live Expr
+# — JSON cannot hold it — so cached proofs keep only the proved flag.
+_RUN_KEYS = ("worker_pid", "trace_events", "metrics", "invariant")
+
+
+def strip_run_keys(outcome: Dict[str, Any]) -> Dict[str, Any]:
+    """Copy of ``outcome`` without its per-run and non-JSON keys."""
+    return {k: v for k, v in outcome.items() if k not in _RUN_KEYS}
+
+
+def merge_telemetry(outcome: Dict[str, Any]) -> None:
+    """Fold one worker outcome's trace events and metrics snapshot into
+    the parent's current tracer and registry, on the worker's lane."""
+    events = outcome.get("trace_events")
+    if events:
+        tracer = current_tracer()
+        tracer.extend(events)
+        pid = outcome.get("worker_pid")
+        if pid:
+            tracer.name_lane(pid, f"worker {outcome.get('worker', pid)}")
+    snapshot = outcome.get("metrics")
+    if snapshot:
+        current_metrics().merge(snapshot)

@@ -170,6 +170,7 @@ class WorkerPool:
         self._respawns = 0
         self._cancelled = 0
         self._closed = False
+        self._owner_pid = os.getpid()
         # Self-pipe: interrupt() (any thread) wakes a parent blocked in
         # collect()'s connection.wait, so new submissions and cancels
         # take effect immediately instead of after the poll timeout.
@@ -441,11 +442,15 @@ class WorkerPool:
         nothing is left buffered in a kernel pipe); whatever is still
         running after the grace window is terminated.  Every child is
         joined — no orphans survive this call — and the wake pipe is
-        closed.
+        closed.  In a process forked from the owner the call only marks
+        this copy closed: the workers belong to the owner.
         """
         if self._closed:
             return
         self._closed = True
+        if os.getpid() != self._owner_pid:
+            self._workers = []
+            return
         self._pending.clear()
         for worker in self._workers:
             try:

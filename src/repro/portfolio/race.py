@@ -2,24 +2,37 @@
 
 The paper's evaluation is a head-to-head between jSAT and SAT on the
 unrolled formula; this module turns that comparison into an execution
-strategy: launch one process per method, take the first *conclusive*
-answer, and kill the rest (the pattern SMPT uses for its parallel
-BMC/k-induction portfolio).  A SAT claim only wins after its witness
-validates — by trace replay when the back end produced a trace, or by
-the explicit-state oracle for traceless back ends on small systems —
-so a buggy or lucky method cannot poison the portfolio.
+strategy: run each method as one task on a warm, process-wide
+:class:`~repro.portfolio.pool.WorkerPool`, take the first *conclusive*
+answer, and cancel the rest cooperatively at their next solver
+checkpoint, so their workers stay warm for the next race (the
+stop-each-other pattern SMPT uses for its parallel BMC/k-induction
+portfolio).  A SAT claim only wins after its witness validates — by
+trace replay when the back end produced a trace, or by the
+explicit-state oracle for traceless back ends on small systems — so a
+buggy or lucky method cannot poison the portfolio.
+
+The pool is built at the first race and rebuilt when it cannot serve
+the next one: in a process forked after it was built, for a race with
+more lanes than it has workers, when a lane's registered backend class
+(or this module's ``execute_cell``) is not the one its workers were
+forked with, and after a shutdown forced by a loser that ignored its
+cancel, an interrupt or an error.  It is shut down at interpreter exit.
 """
 
 from __future__ import annotations
 
+import atexit
 import logging
-import multiprocessing.connection
+import os
+import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
-from ..bmc.backend import METHODS, BmcResult, backend_class, fan_out_options
+from ..bmc.backend import (METHODS, BmcResult, backend_class,
+                           fan_out_options, registered_backends)
 from ..bmc.provers import validate_invariant
-from ..logic.expr import Expr
+from ..logic.expr import Expr, interning_scope
 from ..sat.types import Budget, SolveResult
 from ..system.model import TransitionSystem
 from ..system.oracle import ExplicitOracle
@@ -27,8 +40,8 @@ from ..system.trace import Trace
 from ..telemetry.metrics import current_metrics
 from ..telemetry.trace import current_tracer
 from .ipc import (decode_outcome, encode_outcome, execute_cell,
-                  make_cell_payload)
-from .pool import pool_context
+                  make_cell_payload, merge_telemetry, strip_run_keys)
+from .pool import Task, WorkerPool, pool_context
 
 logger = logging.getLogger(__name__)
 
@@ -39,6 +52,16 @@ __all__ = ["RaceOutcome", "race", "DEFAULT_RACE_METHODS"]
 # single bounds while dominating on sweeps.  The QBF back ends lose so
 # reliably that racing them by default would only burn a core.
 DEFAULT_RACE_METHODS = ("sat-unroll", "jsat", "sat-incremental")
+
+#: Seconds cancelled losers get to report before the pool is dropped.
+_CANCEL_GRACE = 5.0
+
+_pool: Optional[WorkerPool] = None
+# (pid, execute function, backend registry) the pool's workers were
+# forked with.
+_pool_key: tuple = (0, None, {})
+# Races from several threads take turns on the one pool.
+_pool_lock = threading.Lock()
 
 
 class RaceOutcome:
@@ -60,10 +83,10 @@ class RaceOutcome:
         is "cache" and every other method "skipped".
     cancel_latency:
         Wall seconds from the winning answer's arrival until every
-        loser process was confirmed dead.
+        loser reported its cancelled outcome.
     loser_pids:
-        PIDs of the cancelled processes (all dead on return; tests use
-        these to prove the kill actually happened).
+        PIDs of the workers whose lanes were cancelled (alive on
+        return: they stay warm for the next race).
     seconds:
         Total wall time of the race.
     """
@@ -105,13 +128,44 @@ def ensure_methods_spawnable(methods: Sequence[str], ctx) -> None:
             f"backends registered); run them in-process via BmcSession")
 
 
-def _race_child(conn, payload: Dict[str, Any]) -> None:
-    outcome = execute_cell(payload)
-    try:
-        conn.send(outcome)
-    except (BrokenPipeError, EOFError):  # pragma: no cover - lost race
-        pass
-    conn.close()
+def _run_lane(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Run one lane in a pool worker as a process forked for this race
+    alone would: the expression nodes the lane interns are forgotten
+    afterwards, so its encoding, and with it its solver statistics,
+    does not depend on the lanes its worker ran before."""
+    with interning_scope():
+        return execute_cell(payload)
+
+
+def _race_pool(lanes: Sequence[str]) -> WorkerPool:
+    """The warm pool, rebuilt first when it cannot serve ``lanes``."""
+    global _pool, _pool_key
+    pid, execute, backends = _pool_key
+    if _pool is not None and (
+            pid != os.getpid() or len(lanes) > _pool.jobs
+            or execute is not execute_cell
+            or any(backends.get(m) is not backend_class(m)
+                   for m in lanes)):
+        _drop_pool()
+    if _pool is None:
+        _pool = WorkerPool(jobs=len(lanes), execute=_run_lane)
+        _pool_key = (os.getpid(), execute_cell, registered_backends())
+    return _pool
+
+
+def _drop_pool() -> None:
+    """Shut the warm pool down; the next race forks a fresh one.
+
+    In a forked child this only forgets the parent's pool (see
+    :meth:`WorkerPool.shutdown`).
+    """
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None:
+        pool.shutdown(grace=0.0)
+
+
+atexit.register(_drop_pool)
 
 
 def _validate_sat(system: TransitionSystem, final: Expr, k: int,
@@ -136,6 +190,43 @@ def _validate_sat(system: TransitionSystem, final: Expr, k: int,
     return oracle.reachable_within(final, k)
 
 
+def _judge(outcome: Dict[str, Any], method: str, system: TransitionSystem,
+           final: Expr, k: int, semantics: str, prover: Optional[str],
+           validate: bool) -> str:
+    """The terminal state of a lane that answered first: "won" when its
+    answer decides the race."""
+    status = outcome["status"]
+    if outcome.get("timed_out"):
+        return "timeout"
+    if status is SolveResult.UNKNOWN:
+        return "inconclusive"
+    if method == prover:
+        if status is SolveResult.SAT:
+            trace = outcome["trace"]
+            length = trace.length if trace is not None else None
+            if length is None or length > k or \
+                    (semantics == "exact" and length != k):
+                # A genuine violation, but deeper than the bounded
+                # query asks about — it cannot decide this race (the
+                # replay check below would reject it as invalid, which
+                # it is not).
+                return "deep-witness"
+        elif outcome["proved"] and validate \
+                and outcome["invariant"] is not None \
+                and not validate_invariant(system, final,
+                                           outcome["invariant"]):
+            # Interpolation ships an inductive invariant; re-check it
+            # in the parent before letting the proof win (same
+            # distrust as SAT witnesses).
+            return "invalid-proof"
+        # A bounded prover UNSAT still answers the query: the prover
+        # ladder runs to prover_k >= k.
+    if status is SolveResult.SAT and validate and _validate_sat(
+            system, final, k, semantics, outcome["trace"]) is False:
+        return "invalid-witness"
+    return "won"
+
+
 def race(system: TransitionSystem, final: Expr, k: int,
          methods: Sequence[str] = DEFAULT_RACE_METHODS,
          semantics: str = "exact",
@@ -151,14 +242,16 @@ def race(system: TransitionSystem, final: Expr, k: int,
          **options) -> RaceOutcome:
     """Run ``methods`` concurrently; first conclusive answer wins.
 
-    ``wall_timeout`` is the hard outer limit: when it expires every
-    child is killed and the race returns UNKNOWN.  It defaults to three
-    times the budget's ``max_seconds`` (plus setup slack) when that is
-    set, else unlimited.
+    ``wall_timeout`` is the hard outer limit of each lane: the pool
+    kills and respawns the worker of a lane that overruns it, and that
+    lane reads "timeout".  It defaults to three times the budget's
+    ``max_seconds`` (plus setup slack) when that is set, else
+    unlimited.
 
-    ``methods`` may name any non-composite backend in the registry
-    (custom ones included, as long as registration happens before the
-    worker processes fork).  ``**options`` are broadcast: each raced
+    ``methods`` may name any non-composite backend in the registry,
+    custom ones included: a lane whose registered class is not the one
+    the warm workers were forked with makes the race fork a fresh pool.
+    ``**options`` are broadcast: each raced
     method takes the keys its typed options class declares and ignores
     the rest, but a key *no* raced method declares raises —
     misspellings cannot silently kill a contender.  ``method_options``
@@ -172,7 +265,7 @@ def race(system: TransitionSystem, final: Expr, k: int,
     lifted back to a full-width path over the original system.
 
     ``cache`` (a :class:`~repro.portfolio.cache.ResultCache`) serves a
-    previously-raced identical query without spawning anything — the
+    previously-raced identical query without dispatching anything — the
     returned result carries ``stats["cache_served"] = True`` and the
     method outcomes record "cache" / "skipped" — and stores every
     conclusive live win.  Races whose ``reduce`` knob is a custom
@@ -181,8 +274,8 @@ def race(system: TransitionSystem, final: Expr, k: int,
 
     ``sim_tier`` (default on) runs the bit-parallel random-simulation
     falsifier (:func:`repro.sim.presolve`) in the parent before any
-    worker spawns: a validated simulation witness settles the race in
-    milliseconds with zero solver processes (winner ``"simulation"``,
+    lane is dispatched: a validated simulation witness settles the race
+    in milliseconds with zero solver lanes (winner ``"simulation"``,
     every solver lane ``"skipped"``).  The tier is SAT-only and
     strictly wall-bounded, so switching it off changes timing, never
     verdicts.
@@ -307,18 +400,15 @@ def race(system: TransitionSystem, final: Expr, k: int,
             logger.info("race pre-solved by simulation in %.3fs "
                         "(witness length %d)", sim_seconds, trace.length)
             if race_key is not None:
-                entry = encode_outcome(result)
-                entry["invariant"] = None
-                cache.put(race_key, entry)
+                cache.put(race_key, strip_run_keys(encode_outcome(result)))
             method_outcomes = {m: "skipped" for m in lanes}
             method_outcomes["simulation"] = "won"
             return RaceOutcome(result, "simulation", method_outcomes,
                                0.0, [], sim_seconds)
 
-    ctx = pool_context()
-    ensure_methods_spawnable(lanes, ctx)
+    ensure_methods_spawnable(lanes, pool_context())
     telemetry = tracer.enabled or registry.enabled
-    # Manual enter/exit: the span brackets spawn-to-cancel without
+    # Manual enter/exit: the span brackets dispatch-to-cancel without
     # reindenting the whole race body; a raised exception simply
     # forfeits the (advisory) parent span.
     race_span = tracer.span("portfolio.race", k=k,
@@ -326,132 +416,74 @@ def race(system: TransitionSystem, final: Expr, k: int,
                             prover=prover or "none")
     race_span.__enter__()
     start = time.perf_counter()
-    children: List[Tuple[str, Any, Any]] = []     # (method, process, conn)
-    for method in lanes:
-        # The prover lane searches past the query bound (within
-        # semantics) so it can both refute deeper and close a proof.
-        lane_k = prover_k if method == prover else k
-        lane_semantics = "within" if method == prover else semantics
-        payload = make_cell_payload(system, final, lane_k, method,
-                                    lane_semantics, budget,
-                                    per_method_options[method],
-                                    telemetry=telemetry)
-        parent_conn, child_conn = ctx.Pipe()
-        process = ctx.Process(target=_race_child,
-                              args=(child_conn, payload), daemon=True,
-                              name=f"repro-race-{method}")
-        process.start()
-        child_conn.close()
-        children.append((method, process, parent_conn))
-
     method_outcomes = {m: "running" for m in lanes}
     winner: Optional[str] = None
     winning: Optional[Dict[str, Any]] = None
     fallback: Optional[Dict[str, Any]] = None     # an UNKNOWN to report
-    received: List[Dict[str, Any]] = []           # for telemetry merge
-    live = list(children)
-    timed_out = False
-
-    while live and winner is None:
-        if wall_timeout is not None:
-            remaining = wall_timeout - (time.perf_counter() - start)
-            if remaining <= 0:
-                timed_out = True
-                break
-        else:
-            remaining = None
-        ready = multiprocessing.connection.wait(
-            [conn for _, _, conn in live], timeout=remaining)
-        if not ready:
-            timed_out = True
-            break
-        still_live = []
-        for method, process, conn in live:
-            if conn not in ready:
-                still_live.append((method, process, conn))
-                continue
-            try:
-                outcome = decode_outcome(conn.recv())
-            except (EOFError, OSError):
-                method_outcomes[method] = "inconclusive"
-                continue
-            received.append(outcome)
-            status = outcome["status"]
-            if status is SolveResult.UNKNOWN:
-                method_outcomes[method] = "inconclusive"
-                if fallback is None or fallback.get("error"):
-                    fallback = outcome
-                continue
-            if method == prover:
-                if status is SolveResult.SAT:
-                    trace = outcome["trace"]
-                    length = trace.length if trace is not None else None
-                    if length is None or length > k or \
-                            (semantics == "exact" and length != k):
-                        # A genuine violation, but deeper than the
-                        # bounded query asks about — it cannot decide
-                        # this race (the replay check below would
-                        # reject it as invalid, which it is not).
-                        method_outcomes[method] = "deep-witness"
-                        continue
-                elif outcome["proved"] and validate \
-                        and outcome["invariant"] is not None \
-                        and not validate_invariant(system, final,
-                                                   outcome["invariant"]):
-                    # Interpolation ships an inductive invariant;
-                    # re-check it in the parent before letting the
-                    # proof win (same distrust as SAT witnesses).
-                    method_outcomes[method] = "invalid-proof"
-                    continue
-                # A bounded prover UNSAT still answers the query:
-                # the prover ladder runs to prover_k >= k.
-            if status is SolveResult.SAT and validate:
-                verdict = _validate_sat(system, final, k, semantics,
-                                        outcome["trace"])
-                if verdict is False:
-                    method_outcomes[method] = "invalid-witness"
-                    continue
-            winner = method
-            winning = outcome
-            method_outcomes[method] = "won"
-        live = still_live
-
-    # Cancellation: kill whatever is still running.
-    cancel_start = time.perf_counter()
     loser_pids: List[int] = []
-    for method, process, conn in children:
-        if method_outcomes.get(method) in ("won",):
-            process.join(timeout=5.0)
-            continue
-        if process.is_alive():
-            loser_pids.append(process.pid)
-            process.terminate()
-    for method, process, conn in children:
-        process.join(timeout=5.0)
-        if process.is_alive():  # pragma: no cover - stubborn child
-            process.kill()
-            process.join(timeout=5.0)
-        conn.close()
-        if method_outcomes[method] == "running":
-            method_outcomes[method] = "timeout" if timed_out else "cancelled"
-    cancel_latency = time.perf_counter() - cancel_start
+    cancel_start: Optional[float] = None
+    with _pool_lock:
+        try:
+            pool = _race_pool(lanes)
+            # Task ids are lane indices: a race has the pool to itself
+            # and leaves no task behind on it.
+            running = dict(enumerate(lanes))
+            for task_id, method in running.items():
+                # The prover lane searches past the query bound (within
+                # semantics) so it can both refute deeper and close a
+                # proof.
+                lane_k = prover_k if method == prover else k
+                lane_semantics = "within" if method == prover \
+                    else semantics
+                payload = make_cell_payload(system, final, lane_k, method,
+                                            lane_semantics, budget,
+                                            per_method_options[method],
+                                            telemetry=telemetry)
+                pool.submit(Task(task_id, payload, wall_timeout))
+            while running:
+                timeout = None
+                if cancel_start is not None:
+                    timeout = cancel_start + _CANCEL_GRACE \
+                        - time.perf_counter()
+                    if timeout <= 0:
+                        break
+                pool.collect(timeout)
+                for task_id, raw in pool.take_results().items():
+                    method = running.pop(task_id)
+                    if telemetry:
+                        merge_telemetry(raw)
+                    if winner is not None:
+                        method_outcomes[method] = "cancelled"
+                        if raw.get("worker_pid"):
+                            loser_pids.append(raw["worker_pid"])
+                        continue
+                    outcome = decode_outcome(raw)
+                    verdict = _judge(outcome, method, system, final, k,
+                                     semantics, prover, validate)
+                    method_outcomes[method] = verdict
+                    if verdict == "won":
+                        winner, winning = method, outcome
+                        cancel_start = time.perf_counter()
+                        for other in running:
+                            pool.cancel(other)
+                    elif verdict == "inconclusive" and \
+                            (fallback is None or fallback.get("error")):
+                        fallback = outcome
+        except BaseException:
+            # Interrupted or broken mid-race: reap every lane now.
+            _drop_pool()
+            raise
+        if running:
+            # A loser ignored its cancel past the grace window.
+            _drop_pool()
+            for method in running.values():
+                method_outcomes[method] = "cancelled"
+    cancel_latency = 0.0 if cancel_start is None \
+        else time.perf_counter() - cancel_start
     seconds = time.perf_counter() - start
 
-    if telemetry:
-        # Replay worker telemetry into the parent timeline (losers
-        # killed before reporting necessarily contribute nothing).
-        for outcome in received:
-            events = outcome.get("trace_events")
-            if events:
-                tracer.extend(events)
-                pid = outcome.get("worker_pid")
-                if pid:
-                    tracer.name_lane(pid, f"race:{outcome['method']}")
-            snapshot = outcome.get("metrics")
-            if snapshot:
-                registry.merge(snapshot)
-        if winner is not None:
-            tracer.instant("portfolio.winner", method=winner, k=k)
+    if telemetry and winner is not None:
+        tracer.instant("portfolio.winner", method=winner, k=k)
     race_span.set(winner=winner or "none")
     race_span.__exit__(None, None, None)
     logger.info("race finished in %.3fs: winner=%s outcomes=%s",
@@ -483,10 +515,9 @@ def race(system: TransitionSystem, final: Expr, k: int,
         stats = dict(fallback["stats"]) if fallback else {}
         result = BmcResult(SolveResult.UNKNOWN,
                            None, k, "portfolio", seconds, stats)
-    result.stats["portfolio_cancelled"] = len(loser_pids)
+    result.stats["portfolio_cancelled"] = sum(
+        1 for state in method_outcomes.values() if state == "cancelled")
     if race_key is not None and winning is not None:
-        entry = encode_outcome(result)
-        entry["invariant"] = None      # live Expr; the cache is JSON
-        cache.put(race_key, entry)
+        cache.put(race_key, strip_run_keys(encode_outcome(result)))
     return RaceOutcome(result, winner, method_outcomes, cancel_latency,
                        loser_pids, seconds)

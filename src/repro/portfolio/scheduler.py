@@ -25,7 +25,8 @@ from ..sat.types import Budget, SolveResult
 from ..telemetry.metrics import current_metrics
 from ..telemetry.trace import current_tracer
 from .cache import ResultCache, cell_key
-from .ipc import decode_outcome, make_cell_payload
+from .ipc import (decode_outcome, encode_trace, make_cell_payload,
+                  merge_telemetry, strip_run_keys)
 from .pool import Task, WorkerPool
 
 logger = logging.getLogger(__name__)
@@ -145,8 +146,7 @@ class BatchScheduler:
         cache_hits = 0
 
         tracer = current_tracer()
-        registry = current_metrics()
-        telemetry = tracer.enabled or registry.enabled
+        telemetry = tracer.enabled or current_metrics().enabled
         # Manual enter/exit (same pattern as race): the span brackets
         # the whole batch without reindenting the body.
         batch_span = tracer.span("batch.run", cells=len(cells),
@@ -200,11 +200,7 @@ class BatchScheduler:
                     "seconds": sim_out.seconds,
                     "stats": dict(sim_out.stats,
                                   sim_presolved=True),
-                    "trace": {
-                        "states": [dict(s)
-                                   for s in sim_out.trace.states],
-                        "inputs": [dict(i)
-                                   for i in sim_out.trace.inputs]},
+                    "trace": encode_trace(sim_out.trace),
                     "error": None,
                 }
                 slots[slot] = self._to_cell_result(
@@ -252,12 +248,12 @@ class BatchScheduler:
                 executed += 1
                 cpu_total += outcome.get("cpu_seconds", 0.0)
                 if telemetry:
-                    self._merge_telemetry(tracer, registry, outcome)
+                    merge_telemetry(outcome)
                 if outcome.get("timed_out"):
                     timeouts += 1
                 elif self._cacheable(outcome, cell_budget) \
                         and keys[slot] is not None:
-                    self.cache.put(keys[slot], _jsonable(outcome))
+                    self.cache.put(keys[slot], strip_run_keys(outcome))
         wall = time.perf_counter() - wall_start
         batch_span.set(executed=executed, cache_hits=cache_hits)
         batch_span.__exit__(None, None, None)
@@ -278,21 +274,6 @@ class BatchScheduler:
         }
         assert all(result is not None for result in slots)
         return list(slots)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _merge_telemetry(tracer, registry, outcome: Dict[str, Any]) -> None:
-        """Fold one worker outcome's telemetry into the parent's."""
-        events = outcome.get("trace_events")
-        if events:
-            tracer.extend(events)
-            pid = outcome.get("worker_pid")
-            if pid:
-                tracer.name_lane(pid,
-                                 f"worker {outcome.get('worker', pid)}")
-        snapshot = outcome.get("metrics")
-        if snapshot:
-            registry.merge(snapshot)
 
     # ------------------------------------------------------------------
     def _cacheable(self, outcome: Dict[str, Any],
@@ -341,16 +322,3 @@ class BatchScheduler:
         return CellResult(instance, method, status, wall, correct,
                           stats, cpu_seconds=cpu,
                           worker=worker)
-
-
-# Per-run keys that must never be served back out of the cache: worker
-# identity and the run's own telemetry are properties of the run that
-# produced the entry, not of the query.  ``invariant`` is a live Expr
-# — JSON cannot hold it — so cached proofs keep only the proved flag.
-_EPHEMERAL_KEYS = ("worker_pid", "trace_events", "metrics", "invariant")
-
-
-def _jsonable(outcome: Dict[str, Any]) -> Dict[str, Any]:
-    """Strip non-JSON / per-run keys from an outcome before caching."""
-    return {k: v for k, v in outcome.items()
-            if k not in _EPHEMERAL_KEYS}

@@ -42,9 +42,9 @@ from typing import Any, Dict, Optional
 from ..bmc.backend import ALL_METHODS
 from ..models import FAMILIES, build_suite
 from ..portfolio.cache import MemoryCache, ResultCache, cell_key
-from ..portfolio.ipc import budget_from_dict, make_cell_payload
+from ..portfolio.ipc import (budget_from_dict, decode_trace, encode_trace,
+                             make_cell_payload, strip_run_keys)
 from ..reduce import identity_reduction, reduce_for_target
-from ..system.trace import Trace
 from ..telemetry.metrics import current_metrics
 from ..telemetry.trace import current_tracer
 from .bridge import PoolBridge
@@ -56,10 +56,6 @@ from .protocol import (MAX_LINE_BYTES, PROTOCOL_VERSION, ProtocolError,
 __all__ = ["ServeDaemon"]
 
 logger = logging.getLogger(__name__)
-
-# Outcome keys that never leave the daemon (per-run, non-JSON, or
-# worker-internal).
-_EPHEMERAL_KEYS = ("worker_pid", "trace_events", "metrics", "invariant")
 
 _HOUSEKEEPING_TICK = 0.05       # deadline-eviction granularity
 
@@ -374,9 +370,7 @@ class ServeDaemon:
             "seconds": out.seconds,
             "stats": dict(out.stats, sim_presolved=True,
                           sim_solver_calls=0),
-            "trace": {
-                "states": [dict(s) for s in out.trace.states],
-                "inputs": [dict(i) for i in out.trace.inputs]},
+            "trace": encode_trace(out.trace),
             "proved": False,
             "invariant": None,
             "error": None,
@@ -639,8 +633,7 @@ class ServeDaemon:
         job.state = (JobState.CANCELLED if cancelled
                      else JobState.FAILED if failed
                      else JobState.DONE)
-        sanitized = {k: v for k, v in outcome.items()
-                     if k not in _EPHEMERAL_KEYS}
+        sanitized = strip_run_keys(outcome)
         job.result = sanitized
         if cancelled:
             self.stats["cancelled"] += 1
@@ -707,15 +700,12 @@ class ServeDaemon:
         witness ranges over the full-width system the client asked
         about.
         """
-        view = {k: v for k, v in outcome.items()
-                if k not in _EPHEMERAL_KEYS and k != "worker"}
+        view = strip_run_keys(outcome)
+        view.pop("worker", None)
         trace = outcome.get("trace")
         if trace is not None and not reduction.is_identity:
-            lifted = reduction.lift(Trace(trace["states"],
-                                          trace["inputs"]))
-            view["trace"] = {
-                "states": [dict(s) for s in lifted.states],
-                "inputs": [dict(i) for i in lifted.inputs]}
+            view["trace"] = encode_trace(
+                reduction.lift(decode_trace(trace)))
         return view
 
     def _stats_view(self) -> Dict[str, Any]:

@@ -4,7 +4,8 @@ The pool's contract: cooperative cancellation frees a worker without
 killing it, and *no code path leaks orphan solver processes* — not
 Ctrl-C (KeyboardInterrupt), not SIGTERM, not even a SIGKILL'd parent
 (workers notice the re-parenting through their stop check and exit on
-their own).
+their own).  The same contract holds for the lanes of a portfolio race,
+which run on a warm pool.
 """
 
 from __future__ import annotations
@@ -196,21 +197,90 @@ _SIGTERM_HANDLER = textwrap.dedent("""\
 """)
 
 
-def _launch(sigterm_handler: str = "") -> "tuple":
-    script = _SCRIPT.format(src=os.path.abspath(SRC),
-                            sigterm_handler=sigterm_handler)
+# A race script: one jsat lane with no budget refuting a state that a
+# nondeterministic mixer cannot reach within K steps, which takes it
+# far longer than any wait below (over 30 s at K=10 on a 2-core VM).
+# The lanes start inside race(), so the script prints no PIDs and the
+# test finds them as its children.
+_RACE_SCRIPT = textwrap.dedent("""\
+    import signal, sys
+    sys.path.insert(0, {src!r})
+    from repro.models import mixer
+    from repro.models._common import value_equals
+    from repro.portfolio import race
+
+    W, ROUNDS, INPUTS, K = 16, 3, 2, 11
+
+    def step(value, inp):
+        bits = [bool((value >> i) & 1) for i in range(W)]
+        for layer in range(ROUNDS):
+            bits = mixer._mix_layer_concrete(bits, layer)
+        return sum(1 << i for i, b in enumerate(bits)
+                   if b != (i < INPUTS and bool((inp >> i) & 1)))
+
+    front = seen = {{1}}
+    for _ in range(K):
+        front = {{step(v, i) for v in front
+                  for i in range(1 << INPUTS)}} - seen
+        seen = seen | front
+    target = next(v for v in range(1 << W) if v not in seen)
+    system = mixer.make_circuit(W, ROUNDS, INPUTS).to_transition_system()
+    final = value_equals([f"x{{i}}" for i in range(W)], target)
+
+    {sigterm_handler}
+    print("PIDS", flush=True)
+    try:
+        race(system, final, K, methods=("jsat",), sim_tier=False)
+    except KeyboardInterrupt:
+        print("INTERRUPTED", flush=True)
+        sys.exit(42)
+    sys.exit(0)
+""")
+
+
+def _children(pid: int, timeout: float = 20.0) -> list:
+    """PIDs of ``pid``'s child processes, once it has any."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        found = []
+        for entry in os.listdir("/proc"):
+            if not entry.isdigit():
+                continue
+            try:
+                with open(f"/proc/{entry}/stat") as handle:
+                    fields = handle.read().split(")")[-1].split()
+            except OSError:
+                continue
+            if int(fields[1]) == pid:
+                found.append(int(entry))
+        if found:
+            return found
+        time.sleep(0.05)
+    raise AssertionError(f"process {pid} started no children")
+
+
+def _launch(sigterm_handler: str = "", script: str = _SCRIPT) -> "tuple":
+    script = script.format(src=os.path.abspath(SRC),
+                           sigterm_handler=sigterm_handler)
     proc = subprocess.Popen([sys.executable, "-c", script],
                             stdout=subprocess.PIPE, text=True)
     line = proc.stdout.readline()
-    assert line.startswith("PIDS "), f"unexpected: {line!r}"
-    pids = [int(p) for p in line.split()[1:]]
+    assert line.startswith("PIDS"), f"unexpected: {line!r}"
+    pids = [int(p) for p in line.split()[1:]] or _children(proc.pid)
     time.sleep(0.3)             # let the workers start spinning
     return proc, pids
 
 
 class TestSignals:
+    """Signals hitting a parent that runs a batch on a WorkerPool."""
+
+    SCRIPT = _SCRIPT
+
+    def _launch(self, sigterm_handler: str = "") -> "tuple":
+        return _launch(sigterm_handler, self.SCRIPT)
+
     def test_keyboard_interrupt_reaps_children(self):
-        proc, pids = _launch()
+        proc, pids = self._launch()
         proc.send_signal(signal.SIGINT)
         out, _ = proc.communicate(timeout=30)
         assert proc.returncode == 42
@@ -219,7 +289,7 @@ class TestSignals:
             f"orphan workers survived Ctrl-C: {pids}"
 
     def test_sigterm_reaps_children(self):
-        proc, pids = _launch(sigterm_handler=_SIGTERM_HANDLER)
+        proc, pids = self._launch(sigterm_handler=_SIGTERM_HANDLER)
         proc.send_signal(signal.SIGTERM)
         out, _ = proc.communicate(timeout=30)
         assert proc.returncode == 42
@@ -232,8 +302,16 @@ class TestSignals:
         # SIGKILL gives the parent no chance to clean up; the workers
         # must notice the re-parenting via their stop check (busy) or
         # the dead pipe (idle) and exit on their own.
-        proc, pids = _launch()
+        proc, pids = self._launch()
         proc.kill()
         proc.wait(timeout=10)
         assert _wait_dead(pids, timeout=20.0), \
             f"orphan workers survived parent SIGKILL: {pids}"
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="finds the lanes through /proc")
+class TestRaceSignals(TestSignals):
+    """The same signals hitting a parent in the middle of a race."""
+
+    SCRIPT = _RACE_SCRIPT

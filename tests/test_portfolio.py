@@ -1,18 +1,22 @@
 """Portfolio subsystem tests: pool, race, scheduler, cache, IPC.
 
-The satellite checklist pins four behaviours: race cancellation really
-kills loser processes, batch results are identical to serial
+Pinned behaviours: race losers are cancelled on warm workers that the
+next race reuses, a lane whose worker dies mid-race is inconclusive
+without costing the race, batch results are identical to serial
 ``run_matrix`` output, cache hits skip solving, and ``Budget`` limits
 hold inside workers.
 """
 
+import importlib
 import os
 import pickle
+import signal
 import time
 
 import pytest
 
-from repro.bmc import BmcSession
+from repro.bmc import (Backend, BmcSession, register_backend,
+                       unregister_backend)
 from repro.harness.runner import run_matrix
 from repro.logic import expr as ex
 from repro.models import build_suite, counter
@@ -48,6 +52,28 @@ def _pid_alive(pid: int) -> bool:
     except PermissionError:  # pragma: no cover
         return True
     return True
+
+
+def _worker_pids():
+    """PIDs of the warm pool race() runs its lanes on."""
+    pool = importlib.import_module("repro.portfolio.race")._pool
+    return {w.process.pid for w in pool._workers}
+
+
+class _SuicideBackend(Backend):
+    """A lane whose worker SIGKILLs itself as soon as it starts."""
+
+    def check(self, k, semantics="exact", budget=None):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.fixture
+def suicide_backend():
+    register_backend("test-suicide")(_SuicideBackend)
+    try:
+        yield "test-suicide"
+    finally:
+        unregister_backend("test-suicide")
 
 
 # ----------------------------------------------------------------------
@@ -148,20 +174,56 @@ class TestRace:
         assert outcome.result.trace.is_valid(system, final)
         assert outcome.result.stats["portfolio_winner"] == outcome.winner
 
-    def test_race_cancellation_kills_losers(self):
+    def test_race_cancels_losers_warm(self):
         # Give the loser an enormous budget so it would run for a long
-        # time if not killed; the winner finishes almost instantly.
+        # time if not cancelled; the winner finishes almost instantly.
         system, final, depth = counter.make(5, 19)
-        outcome = race(system, final, depth,
-                       methods=("jsat", "sat-unroll"),
-                       budget=Budget(max_seconds=60.0))
-        assert outcome.result.status is SolveResult.SAT
-        for pid in outcome.loser_pids:
-            assert not _pid_alive(pid), f"loser {pid} survived the race"
-        states = set(outcome.method_outcomes.values())
-        assert "won" in states
+        kwargs = dict(methods=("jsat", "sat-unroll"), sim_tier=False,
+                      budget=Budget(max_seconds=60.0))
+        first = race(system, final, depth, **kwargs)
+        assert first.result.status is SolveResult.SAT
+        assert sorted(first.method_outcomes.values()) == \
+            ["cancelled", "won"]
+        assert first.result.stats["portfolio_cancelled"] == 1
+        # Cancelled, not killed: the loser's worker stays warm.
+        assert len(first.loser_pids) == 1
+        assert all(_pid_alive(pid) for pid in first.loser_pids)
+        workers = _worker_pids()
+        assert set(first.loser_pids) <= workers
         # Cancellation is prompt (well under the loser's 60 s budget).
-        assert outcome.cancel_latency < 10.0
+        assert first.cancel_latency < 10.0
+        # The next race runs on the same warm workers.
+        second = race(system, final, depth, **kwargs)
+        assert second.result.status is SolveResult.SAT
+        assert set(second.loser_pids) <= workers
+        assert _worker_pids() == workers
+
+    def test_worker_death_mid_race(self, suicide_backend):
+        race_module = importlib.import_module("repro.portfolio.race")
+        # Fork the next pool with the suicide backend registered, so
+        # the races below all run on that one pool.
+        race_module._drop_pool()
+        quick = counter.make(3, 5)
+        kwargs = dict(sim_tier=False, budget=Budget(max_seconds=60.0))
+        race(*quick, methods=("jsat", "sat-unroll"), **kwargs)
+        pool = race_module._pool
+        before = _worker_pids()
+        # jsat needs about half a second here; its rival dies at once.
+        system, final, depth = counter.make(7, 90)
+        outcome = race(system, final, depth,
+                       methods=(suicide_backend, "jsat"), **kwargs)
+        assert outcome.method_outcomes == {suicide_backend: "inconclusive",
+                                           "jsat": "won"}
+        assert outcome.result.status is SolveResult.SAT
+        assert outcome.result.trace.is_valid(system, final)
+        # The dead worker was replaced in the same pool...
+        after = _worker_pids()
+        assert race_module._pool is pool
+        assert len(after - before) == 1 and len(after) == len(before)
+        # ...and the respawned worker serves the next race.
+        again = race(*quick, methods=("jsat", "sat-unroll"), **kwargs)
+        assert again.result.status is SolveResult.SAT
+        assert race_module._pool is pool and _worker_pids() == after
 
     def test_race_all_inconclusive_returns_unknown(self):
         system, final, depth = counter.make(4, 9)

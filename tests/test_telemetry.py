@@ -336,6 +336,23 @@ class TestWorkerMerge:
         # The merged timeline still exports as a valid Chrome trace.
         validate_chrome_trace(chrome_trace_document(events))
 
+    def test_race_merges_every_lane(self, telemetry):
+        # The cancelled loser reports its telemetry too, so both lanes'
+        # cells land in the parent timeline, each on its worker's lane.
+        tracer, _ = telemetry
+        system, final, depth = counter.make(5, 19)
+        outcome = race(system, final, depth, methods=("jsat", "sat-unroll"),
+                       sim_tier=False, budget=Budget(max_seconds=60.0))
+        assert sorted(outcome.method_outcomes.values()) == \
+            ["cancelled", "won"]
+        events = tracer.events()
+        cells = {e["args"]["method"]: e["pid"] for e in events
+                 if e["name"] == "worker.cell"}
+        assert set(cells) == {"jsat", "sat-unroll"}
+        lanes = {e["pid"] for e in events if e["ph"] == "M"}
+        assert set(cells.values()) <= lanes
+        validate_chrome_trace(chrome_trace_document(events))
+
     def test_batch_cache_hits_annotated(self, telemetry, small_suite,
                                         tmp_path):
         tracer, _ = telemetry
