@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..logic.expr import Expr
+from ..logic.program import Program
 
 __all__ = ["BddManager"]
 
@@ -223,30 +224,14 @@ class BddManager:
     # ------------------------------------------------------------------
     def from_expr(self, root: Expr) -> int:
         """Compile an expression DAG bottom-up into a BDD."""
-        memo: Dict[int, int] = {}
-        for node in root.iter_dag():
-            if node.is_const:
-                memo[node.uid] = TRUE_NODE if node.value else FALSE_NODE
-            elif node.is_var:
-                assert node.name is not None
-                memo[node.uid] = self.var(node.name)
-            else:
-                kids = [memo[c.uid] for c in node.args]
-                if node.op == "not":
-                    memo[node.uid] = self.apply_not(kids[0])
-                elif node.op == "and":
-                    memo[node.uid] = self.conjoin(kids)
-                elif node.op == "or":
-                    memo[node.uid] = self.disjoin(kids)
-                elif node.op == "xor":
-                    memo[node.uid] = self.apply_xor(kids[0], kids[1])
-                elif node.op == "iff":
-                    memo[node.uid] = self.apply_iff(kids[0], kids[1])
-                elif node.op == "ite":
-                    memo[node.uid] = self.ite(kids[0], kids[1], kids[2])
-                else:
-                    raise ValueError(f"unknown operator {node.op!r}")
-        return memo[root.uid]
+        return Program([root]).lower(self.var, {
+            "not": self.apply_not,
+            "and": lambda *kids: self.conjoin(kids),
+            "or": lambda *kids: self.disjoin(kids),
+            "xor": self.apply_xor,
+            "iff": self.apply_iff,
+            "ite": self.ite,
+        }, FALSE_NODE, TRUE_NODE)[0]
 
     def evaluate(self, f: int, env: Dict[str, bool]) -> bool:
         node = f

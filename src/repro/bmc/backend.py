@@ -51,6 +51,7 @@ from ..system.trace import Trace
 __all__ = ["BmcResult", "Backend", "BackendOptions", "register_backend",
            "unregister_backend", "backend_class", "create_backend",
            "fan_out_options", "registered_backends", "validate_method",
+           "require_prover",
            "MethodsView", "METHODS", "ALL_METHODS", "SEMANTICS",
            "BoundResult", "SweepResult", "SweepBudget", "emit_bound",
            "drive_sweep"]
@@ -577,6 +578,18 @@ def backend_class(name: str) -> Type[Backend]:
         raise ValueError(
             f"unknown method {name!r}; pick from {tuple(_REGISTRY)}"
         ) from None
+
+
+def require_prover(name: str) -> Type[Backend]:
+    """The class of the backend ``name``, which must be an unbounded
+    prover; a bounded falsifier raises ``ValueError``."""
+    cls = backend_class(name)
+    if not cls.proves_unbounded:
+        raise ValueError(
+            f"{name!r} is a bounded falsifier, not a prover; pick a "
+            f"backend with proves_unbounded=True (k-induction / "
+            f"interpolation / diameter), or race it as a method")
+    return cls
 
 
 def validate_method(name: str) -> Type[Backend]:

@@ -35,7 +35,7 @@ winning proof exactly as it replays a falsifier's witness trace.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..logic import expr as ex
 from ..logic.expr import Expr
@@ -143,30 +143,18 @@ class _ProverBackend(Backend):
                            budget=budget, on_bound=on_bound)
 
 
-@register_backend("k-induction")
-class KInductionBackend(_ProverBackend):
-    """Temporal induction (Sheeran–Singh–Stålmarck) as a backend.
-
-    Rung k runs base(k) — one exact-k query on the persistent
+class _LadderProver(_ProverBackend):
+    """A prover whose rung k refutes exact-k on a persistent
     :class:`IncrementalBmc` ladder, earlier bounds having been refuted
-    and retired on earlier rungs — then step(k) on one incremental
-    step-case :class:`~repro.bmc.unroll.Unrolling` without init.  Its
-    frames, loop-free distinctness and good-state constraints grow
-    monotonically with the rung; the one obligation that must *flip* —
-    bad at the last frame, good once the next rung subsumes it — is a
-    retractable assumption group.  An UNSAT step closes an unbounded
-    proof; the distinctness constraints make the pair complete for
-    finite systems.
-    """
+    and retired on earlier rungs, then tries to close an unbounded
+    proof (:meth:`_closes`).  ``rungs_stat`` names its rung counter."""
 
     native_incremental = True
-    options_class = KInductionOptions
+    rungs_stat = ""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._base: Optional[IncrementalBmc] = None
-        self._step: Optional[Unrolling] = None
-        self._good_upto = -1          # highest step frame asserted good
         self._refuted = -1            # every exact-i <= this is UNSAT
 
     @property
@@ -177,28 +165,11 @@ class KInductionBackend(_ProverBackend):
                 purge_interval=self.options.purge_interval)
         return self._base
 
-    def _step_case(self, k: int, budget: Budget | None
-                   ) -> Tuple[SolveResult, Dict[str, int]]:
-        """step(k): UNSAT iff k+1 loop-free good states never reach a
-        bad successor — together with base(k) that is a proof.  Rungs
-        must ascend (the ladder always does)."""
-        if self._step is None:
-            self._step = Unrolling(
-                self.system, init=False,
-                purge_interval=self.options.purge_interval)
-        step = self._step
-        if not step.ensure_frames(k + 1, budget):
-            return SolveResult.UNKNOWN, {}
-        step.assert_loop_free()
-        good = ex.mk_not(self.final)
-        for i in range(self._good_upto + 1, k + 1):
-            step.encoder.assert_expr(step.at(good, i))
-        self._good_upto = k
-        group = step.activate(step.at(self.final, k + 1))
-        status, stats = step.solve([group], budget=budget)
-        # Retire the bad obligation: the next rung asserts good here.
-        step.retire(group)
-        return status, stats
+    def _closes(self, k: int, budget: Budget | None,
+                totals: Dict[str, int]) -> bool:
+        """Whether the ladder refuted up to k proves the target
+        unreachable; solver work goes into ``totals``."""
+        raise NotImplementedError
 
     def check(self, k: int, semantics: str = "within",
               budget: Budget | None = None) -> BmcResult:
@@ -223,13 +194,10 @@ class KInductionBackend(_ProverBackend):
                                    self._stats(totals, rungs))
             self.base.retire_bound(i)
             self._refuted = i
-            step_status, step_stats = self._step_case(i, budget)
-            _accumulate(totals, step_stats)
-            if step_status is SolveResult.UNSAT:
+            if self._closes(i, budget, totals):
                 self._proved = True
                 return self.result(SolveResult.UNSAT, None, k,
                                    self._stats(totals, rungs), proved=True)
-            # step SAT (induction too weak yet) or UNKNOWN: deepen.
         if k <= self._refuted:
             return self.result(SolveResult.UNSAT, None, k,
                                self._stats(totals, rungs))
@@ -238,13 +206,66 @@ class KInductionBackend(_ProverBackend):
 
     def _stats(self, totals: Dict[str, int], rungs: int) -> Dict[str, int]:
         totals = dict(totals)
-        totals["induction_rungs"] = rungs
+        totals[self.rungs_stat] = rungs
         if self._base is not None:
             totals["trans_frames"] = self._base.k
         return totals
 
     def close(self) -> None:
         self._base = None
+
+
+@register_backend("k-induction")
+class KInductionBackend(_LadderProver):
+    """Temporal induction (Sheeran–Singh–Stålmarck) as a backend.
+
+    Rung k runs base(k) — one exact-k query on the persistent
+    :class:`IncrementalBmc` ladder, earlier bounds having been refuted
+    and retired on earlier rungs — then step(k) on one incremental
+    step-case :class:`~repro.bmc.unroll.Unrolling` without init.  Its
+    frames, loop-free distinctness and good-state constraints grow
+    monotonically with the rung; the one obligation that must *flip* —
+    bad at the last frame, good once the next rung subsumes it — is a
+    retractable assumption group.  An UNSAT step closes an unbounded
+    proof; the distinctness constraints make the pair complete for
+    finite systems.
+    """
+
+    options_class = KInductionOptions
+    rungs_stat = "induction_rungs"
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._step: Optional[Unrolling] = None
+        self._good_upto = -1          # highest step frame asserted good
+
+    def _closes(self, k: int, budget: Budget | None,
+                totals: Dict[str, int]) -> bool:
+        """step(k): UNSAT iff k+1 loop-free good states never reach a
+        bad successor — together with base(k) that is a proof.  Rungs
+        must ascend (the ladder always does)."""
+        if self._step is None:
+            self._step = Unrolling(
+                self.system, init=False,
+                purge_interval=self.options.purge_interval)
+        step = self._step
+        if not step.ensure_frames(k + 1, budget):
+            return False
+        step.assert_loop_free()
+        good = ex.mk_not(self.final)
+        for i in range(self._good_upto + 1, k + 1):
+            step.encoder.assert_expr(step.at(good, i))
+        self._good_upto = k
+        group = step.activate(step.at(self.final, k + 1))
+        status, stats = step.solve([group], budget=budget)
+        # Retire the bad obligation: the next rung asserts good here.
+        step.retire(group)
+        _accumulate(totals, stats)
+        # Step SAT (induction too weak yet) or UNKNOWN: deepen.
+        return status is SolveResult.UNSAT
+
+    def close(self) -> None:
+        super().close()
         self._step = None
         self._good_upto = -1
 
@@ -352,7 +373,7 @@ class DiameterOptions(BackendOptions):
 
 
 @register_backend("diameter")
-class DiameterBackend(_ProverBackend):
+class DiameterBackend(_LadderProver):
     """The paper's completeness procedure as a backend.
 
     Rung k refutes exact-k on the persistent :class:`IncrementalBmc`
@@ -363,66 +384,13 @@ class DiameterBackend(_ProverBackend):
     the length of the longest simple path", §intro).
     """
 
-    native_incremental = True
     options_class = DiameterOptions
+    rungs_stat = "diameter_rungs"
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._base: Optional[IncrementalBmc] = None
-        self._refuted = -1
-
-    @property
-    def base(self) -> IncrementalBmc:
-        if self._base is None:
-            self._base = IncrementalBmc(
-                self.system, self.final,
-                purge_interval=self.options.purge_interval)
-        return self._base
-
-    def check(self, k: int, semantics: str = "within",
-              budget: Budget | None = None) -> BmcResult:
-        self._require_within(semantics)
+    def _closes(self, k: int, budget: Budget | None,
+                totals: Dict[str, int]) -> bool:
         # Imported lazily: completeness.py pulls in the session layer.
         from .completeness import longest_simple_path_reached
-        if budget is not None:
-            budget.arm()              # one slice across all rungs
-        cached = self._cached(k)
-        if cached is not None:
-            return cached
-        totals: Dict[str, int] = {}
-        rungs = 0
-        for i in range(self._refuted + 1, k + 1):
-            rungs += 1
-            status, trace, stats = self.base.check_bound(i, budget=budget)
-            _accumulate(totals, stats)
-            if status is SolveResult.SAT:
-                self._cex = trace
-                return self.result(SolveResult.SAT, trace, k,
-                                   self._stats(totals, rungs))
-            if status is SolveResult.UNKNOWN:
-                return self.result(SolveResult.UNKNOWN, None, k,
-                                   self._stats(totals, rungs))
-            self.base.retire_bound(i)
-            self._refuted = i
-            done = longest_simple_path_reached(self.system, i, budget)
-            if done:
-                self._proved = True
-                return self.result(SolveResult.UNSAT, None, k,
-                                   self._stats(totals, rungs), proved=True)
-            # done is None on budget exhaustion: the bounded ladder may
-            # still finish, so keep deepening.
-        if k <= self._refuted:
-            return self.result(SolveResult.UNSAT, None, k,
-                               self._stats(totals, rungs))
-        return self.result(SolveResult.UNKNOWN, None, k,
-                           self._stats(totals, rungs))
-
-    def _stats(self, totals: Dict[str, int], rungs: int) -> Dict[str, int]:
-        totals = dict(totals)
-        totals["diameter_rungs"] = rungs
-        if self._base is not None:
-            totals["trans_frames"] = self._base.k
-        return totals
-
-    def close(self) -> None:
-        self._base = None
+        # None on budget exhaustion: the bounded ladder may still
+        # finish, so keep deepening.
+        return bool(longest_simple_path_reached(self.system, k, budget))

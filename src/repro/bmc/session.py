@@ -104,12 +104,8 @@ class BmcSession:
         if prover is not None:
             # Fail here, at construction, with the checker's own
             # message — not on the first check_properties() call.
-            from .backend import backend_class
-            if not backend_class(prover).proves_unbounded:
-                raise ValueError(
-                    f"{prover!r} is a bounded falsifier, not a prover; "
-                    f"pick a backend with proves_unbounded=True "
-                    f"(k-induction / interpolation / diameter)")
+            from .backend import require_prover
+            require_prover(prover)
         self.system = system
         self.properties: Dict[str, Property] = \
             normalize_properties(properties)

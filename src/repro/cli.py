@@ -186,7 +186,7 @@ def _cmd_bmc(args: argparse.Namespace) -> int:
         sim_out = presolve(instance.system, instance.final, k,
                            semantics=args.semantics)
         if sim_out is not None and sim_out.trace is not None:
-            sim_out.trace.validate(instance.system)
+            sim_out.trace.validate(instance.system, instance.final)
             print(f"{instance.name} (k={k}, simulation pre-solve, "
                   f"{args.semantics}): SAT in {sim_out.seconds:.3f} s")
             for key, value in sorted(sim_out.stats.items()):

@@ -349,11 +349,8 @@ def run_matrix(instances: Sequence[Instance], methods: Sequence[str],
                                    reduce=reduce, prover=prover)
     lanes = list(methods)
     if prover is not None and mode == "single":
-        from ..bmc.backend import backend_class
-        if not backend_class(prover).proves_unbounded:
-            raise ValueError(
-                f"{prover!r} is a bounded falsifier, not a prover; "
-                f"list it in methods instead")
+        from ..bmc.backend import require_prover
+        require_prover(prover)
         if prover not in lanes:
             lanes.append(prover)
     per_method = fan_out_options(lanes, options)

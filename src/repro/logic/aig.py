@@ -17,12 +17,15 @@ TRUE.  ``lit ^ 1`` negates.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+import functools
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from . import expr as ex
 from .expr import Expr
+from .program import Program
 
-__all__ = ["AIG", "aig_from_expr", "aig_to_expr", "AIG_FALSE", "AIG_TRUE"]
+__all__ = ["AIG", "aig_from_expr", "aig_to_expr", "build_literals",
+           "AIG_FALSE", "AIG_TRUE"]
 
 AIG_FALSE = 0
 AIG_TRUE = 1
@@ -159,17 +162,10 @@ class AIG:
 
         ``lit_values`` maps *positive* literals (inputs/latches) to bool.
         """
-        values: Dict[int, bool] = {AIG_FALSE: False}
-        for positive_lit, val in lit_values.items():
-            values[positive_lit] = bool(val)
-        for lhs, a, b in self.iter_ands():
-            values[lhs] = self._value_of(a, values) and self._value_of(b, values)
-        return [self._value_of(t, values) for t in targets]
-
-    @staticmethod
-    def _value_of(lit: int, values: Dict[int, bool]) -> bool:
-        base = values[lit & ~1]
-        return (not base) if (lit & 1) else base
+        leaves = {lit: f"l{lit}" for lit in lit_values}
+        program = Program([aig_to_expr(self, t, leaves) for t in targets])
+        return [bool(v) for v in program.evaluate(
+            {leaves[lit]: bool(v) for lit, v in lit_values.items()})]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"AIG(inputs={len(self.inputs)}, latches={len(self.latches)},"
@@ -183,51 +179,23 @@ def aig_from_expr(roots: Sequence[Expr]) -> Tuple[AIG, List[int]]:
     first-seen order).  Returns the AIG and the literal of each root.
     """
     aig = AIG()
-    input_lits: Dict[str, int] = {}
-    cache: Dict[int, int] = {}
+    return aig, build_literals(aig, roots, aig.add_input)
 
-    def lit_of_var(name: str) -> int:
-        lit = input_lits.get(name)
-        if lit is None:
-            lit = aig.add_input(name)
-            input_lits[name] = lit
-        return lit
 
-    root_lits: List[int] = []
-    for root in roots:
-        for node in root.iter_dag():
-            if node.uid in cache:
-                continue
-            if node.is_const:
-                cache[node.uid] = AIG_TRUE if node.value else AIG_FALSE
-            elif node.is_var:
-                assert node.name is not None
-                cache[node.uid] = lit_of_var(node.name)
-            elif node.op == "not":
-                cache[node.uid] = _aig_not(cache[node.args[0].uid])
-            elif node.op == "and":
-                acc = AIG_TRUE
-                for child in node.args:
-                    acc = aig.mk_and(acc, cache[child.uid])
-                cache[node.uid] = acc
-            elif node.op == "or":
-                acc = AIG_FALSE
-                for child in node.args:
-                    acc = aig.mk_or(acc, cache[child.uid])
-                cache[node.uid] = acc
-            elif node.op == "xor":
-                a, b = (cache[c.uid] for c in node.args)
-                cache[node.uid] = aig.mk_xor(a, b)
-            elif node.op == "iff":
-                a, b = (cache[c.uid] for c in node.args)
-                cache[node.uid] = _aig_not(aig.mk_xor(a, b))
-            elif node.op == "ite":
-                c, t, e = (cache[x.uid] for x in node.args)
-                cache[node.uid] = aig.mk_ite(c, t, e)
-            else:
-                raise ValueError(f"unknown operator {node.op!r}")
-        root_lits.append(cache[root.uid])
-    return aig, root_lits
+def build_literals(aig: AIG, roots: Sequence[Expr],
+                   leaf: Callable[[str], int]) -> List[int]:
+    """The literal of each root, built into ``aig`` from its compiled
+    program; ``leaf(name)`` gives each variable's literal."""
+    def chain(gate: Callable[[int, int], int], unit: int):
+        return lambda *kids: functools.reduce(gate, kids, unit)
+    return Program(roots).lower(leaf, {
+        "not": _aig_not,
+        "and": chain(aig.mk_and, AIG_TRUE),
+        "or": chain(aig.mk_or, AIG_FALSE),
+        "xor": aig.mk_xor,
+        "iff": lambda a, b: _aig_not(aig.mk_xor(a, b)),
+        "ite": aig.mk_ite,
+    }, AIG_FALSE, AIG_TRUE)
 
 
 def aig_to_expr(aig: AIG, lit: int,

@@ -23,31 +23,27 @@ import tempfile
 from typing import Any, Dict, Iterable, Optional
 
 from ..logic.expr import Expr
+from ..logic.program import Program
 from ..sat.types import Budget
 from ..system.model import TransitionSystem
 from ..telemetry.metrics import current_metrics
 from .ipc import budget_to_dict
 
 __all__ = ["fingerprint_expr", "fingerprint_system", "cell_key",
-           "ResultCache", "MemoryCache"]
+           "cacheable", "ResultCache", "MemoryCache"]
 
 
 def fingerprint_expr(root: Expr) -> str:
     """Canonical content hash of an expression DAG.
 
-    Nodes are numbered in post-order (children before parents), so two
-    structurally identical DAGs — even ones built in different
+    The hash of its compiled :class:`~repro.logic.program.Program`,
+    whose slots are numbered in post-order (children before parents),
+    so two structurally identical DAGs — even ones built in different
     processes with different ``uid`` values — hash identically.
     """
-    digest = hashlib.sha256()
-    index: Dict[int, int] = {}
-    for i, node in enumerate(root.iter_dag()):
-        index[node.uid] = i
-        digest.update(
-            (f"{i}:{node.op}:{node.name}:{node.value}:"
-             + ",".join(str(index[c.uid]) for c in node.args) + ";"
-             ).encode())
-    return digest.hexdigest()
+    program = Program([root])
+    return hashlib.sha256(repr((program.ops, list(program.variables.items()),
+                                program.outputs)).encode()).hexdigest()
 
 
 def fingerprint_system(system: TransitionSystem) -> str:
@@ -85,6 +81,23 @@ def cell_key(system: TransitionSystem, final: Expr, k: int, method: str,
     }
     return hashlib.sha256(
         json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def cacheable(outcome: Dict[str, Any],
+              max_seconds: Optional[float]) -> bool:
+    """Should a finished outcome be stored?  The one policy of the
+    batch scheduler and the serve daemon.
+
+    Error and timed-out outcomes never.  UNKNOWN under a wall-clock
+    budget term (``max_seconds`` set) is a property of that run's
+    machine load, not of the query, so caching it would pin a
+    transient answer; UNKNOWN under purely deterministic limits
+    (conflicts / literals / decisions) is a pure function of the cache
+    key and safe to store.
+    """
+    if outcome.get("error") or outcome.get("timed_out"):
+        return False
+    return outcome.get("status") != "UNKNOWN" or max_seconds is None
 
 
 class ResultCache:

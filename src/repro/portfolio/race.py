@@ -30,7 +30,8 @@ import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..bmc.backend import (METHODS, BmcResult, backend_class,
-                           fan_out_options, registered_backends)
+                           fan_out_options, registered_backends,
+                           require_prover)
 from ..bmc.provers import validate_invariant
 from ..logic.expr import Expr, interning_scope
 from ..sat.types import Budget, SolveResult
@@ -168,6 +169,18 @@ def _drop_pool() -> None:
 atexit.register(_drop_pool)
 
 
+def _lift_witness(reduction, trace: Trace, system: TransitionSystem,
+                  final: Expr, validate: bool) -> Optional[Trace]:
+    """``trace`` lifted to the original ``system`` through ``reduction``
+    (None for no reduction), or None when ``validate`` is set and the
+    lifted path does not replay there and end in ``final``."""
+    if reduction is not None:
+        trace = reduction.lift(trace)
+    if validate and not trace.is_valid(system, final):
+        return None
+    return trace
+
+
 def _validate_sat(system: TransitionSystem, final: Expr, k: int,
                   semantics: str, trace: Optional[Trace]) -> Optional[bool]:
     """True/False when the SAT claim could be checked, None otherwise."""
@@ -261,8 +274,10 @@ def race(system: TransitionSystem, final: Expr, k: int,
     ``reduce`` (``"off"`` / ``"auto"`` / a :class:`repro.reduce.Pipeline`)
     runs the model-reduction pipeline once in the parent; every
     contender then races on the same reduced system, witnesses are
-    validated in the reduced vocabulary, and the winning trace is
-    lifted back to a full-width path over the original system.
+    validated in the reduced vocabulary, and a winning trace is lifted
+    back to a full-width path that must replay on the original system
+    and end in the original target (else the lane reads
+    "invalid-witness" and the race goes on).
 
     ``cache`` (a :class:`~repro.portfolio.cache.ResultCache`) serves a
     previously-raced identical query without dispatching anything — the
@@ -305,13 +320,7 @@ def race(system: TransitionSystem, final: Expr, k: int,
                          f"pick from {METHODS}")
     prover_k = k
     if prover is not None:
-        if prover not in METHODS:
-            raise ValueError(f"unknown prover {prover!r}; "
-                             f"pick from {METHODS}")
-        if not backend_class(prover).proves_unbounded:
-            raise ValueError(
-                f"{prover!r} is a bounded falsifier, not a prover; "
-                f"pass it via methods=[...] instead")
+        require_prover(prover)
         if prover in methods:
             raise ValueError(
                 f"{prover!r} is both a raced method and the prover; "
@@ -364,7 +373,7 @@ def race(system: TransitionSystem, final: Expr, k: int,
 
     pipeline = resolve_reduce(reduce)
     reduction = None
-    original_system = system
+    original_system, original_final = system, final
     if pipeline is not None:
         candidate = reduce_for_target(system, final, pipeline)
         if not candidate.is_identity:
@@ -372,19 +381,18 @@ def race(system: TransitionSystem, final: Expr, k: int,
             system = candidate.system
             final = candidate.map_expr(final)
 
+    sim_verdict = None
     if sim_tier:
         from ..sim import presolve as sim_presolve
         sim_start = time.perf_counter()
         sim_out = sim_presolve(system, final, k, semantics=semantics)
+        trace = None
         if sim_out is not None:
-            trace = sim_out.trace
-            assert trace is not None
-            if reduction is not None:
-                trace = reduction.lift(trace)
-                if validate:
-                    trace.validate(original_system)
-            elif validate:
-                trace.validate(original_system, final)
+            trace = _lift_witness(reduction, sim_out.trace, original_system,
+                                  original_final, validate)
+            if trace is None:
+                sim_verdict = "invalid-witness"
+        if trace is not None:
             sim_seconds = time.perf_counter() - sim_start
             stats = dict(sim_out.stats)
             stats["portfolio_winner"] = "simulation"
@@ -417,6 +425,8 @@ def race(system: TransitionSystem, final: Expr, k: int,
     race_span.__enter__()
     start = time.perf_counter()
     method_outcomes = {m: "running" for m in lanes}
+    if sim_verdict is not None:
+        method_outcomes["simulation"] = sim_verdict
     winner: Optional[str] = None
     winning: Optional[Dict[str, Any]] = None
     fallback: Optional[Dict[str, Any]] = None     # an UNKNOWN to report
@@ -460,6 +470,16 @@ def race(system: TransitionSystem, final: Expr, k: int,
                     outcome = decode_outcome(raw)
                     verdict = _judge(outcome, method, system, final, k,
                                      semantics, prover, validate)
+                    if verdict == "won" and reduction is not None \
+                            and outcome["trace"] is not None:
+                        # Workers validated in the reduced vocabulary;
+                        # the lifted full-width path must replay on the
+                        # original system and reach the original target.
+                        outcome["trace"] = _lift_witness(
+                            reduction, outcome["trace"], original_system,
+                            original_final, validate)
+                        if outcome["trace"] is None:
+                            verdict = "invalid-witness"
                     method_outcomes[method] = verdict
                     if verdict == "won":
                         winner, winning = method, outcome
@@ -490,19 +510,11 @@ def race(system: TransitionSystem, final: Expr, k: int,
                 seconds, winner, method_outcomes)
 
     if winning is not None:
-        trace = winning["trace"]
-        if reduction is not None and trace is not None:
-            # Workers validated in the reduced vocabulary; the lifted
-            # full-width path must replay on the original system too
-            # (the same double check every session/checker path runs).
-            trace = reduction.lift(trace)
-            if validate:
-                trace.validate(original_system)
         # An invariant stays in the raced (possibly reduced)
         # vocabulary — it was validated against that system above and
         # has no full-width counterpart (reduction proved the dropped
         # latches irrelevant to this target).
-        result = BmcResult(winning["status"], trace, k,
+        result = BmcResult(winning["status"], winning["trace"], k,
                            "portfolio", seconds, dict(winning["stats"]),
                            proved=winning["proved"],
                            invariant=winning["invariant"])

@@ -24,7 +24,7 @@ from ..models.suite import Instance
 from ..sat.types import Budget, SolveResult
 from ..telemetry.metrics import current_metrics
 from ..telemetry.trace import current_tracer
-from .cache import ResultCache, cell_key
+from .cache import ResultCache, cacheable, cell_key
 from .ipc import (decode_outcome, encode_trace, make_cell_payload,
                   merge_telemetry, strip_run_keys)
 from .pool import Task, WorkerPool
@@ -117,15 +117,12 @@ class BatchScheduler:
         query — and a conclusive proof surfaces as ``proved`` in the
         cell stats.
         """
-        from ..bmc.backend import backend_class, fan_out_options
+        from ..bmc.backend import fan_out_options, require_prover
         from ..harness.runner import CellResult   # deferred: no cycle
         method_budgets = method_budgets or {}
         lanes = list(methods)
         if prover is not None:
-            if not backend_class(prover).proves_unbounded:
-                raise ValueError(
-                    f"{prover!r} is a bounded falsifier, not a prover; "
-                    f"list it in methods instead")
+            require_prover(prover)
             if prover not in lanes:
                 lanes.append(prover)
         # Same broadcast semantics as the serial run_matrix: each
@@ -251,8 +248,9 @@ class BatchScheduler:
                     merge_telemetry(outcome)
                 if outcome.get("timed_out"):
                     timeouts += 1
-                elif self._cacheable(outcome, cell_budget) \
-                        and keys[slot] is not None:
+                elif keys[slot] is not None and cacheable(
+                        outcome, None if cell_budget is None
+                        else cell_budget.max_seconds):
                     self.cache.put(keys[slot], strip_run_keys(outcome))
         wall = time.perf_counter() - wall_start
         batch_span.set(executed=executed, cache_hits=cache_hits)
@@ -274,24 +272,6 @@ class BatchScheduler:
         }
         assert all(result is not None for result in slots)
         return list(slots)
-
-    # ------------------------------------------------------------------
-    def _cacheable(self, outcome: Dict[str, Any],
-                   budget: Budget | None) -> bool:
-        """Should this outcome be stored?
-
-        Error outcomes never.  UNKNOWN under a wall-clock budget term is
-        a property of that run's machine load, not of the query, so
-        caching it would pin a transient answer; UNKNOWN under purely
-        deterministic limits (conflicts / literals / decisions) is a
-        pure function of the cache key and safe to store.
-        """
-        if self.cache is None or outcome.get("error"):
-            return False
-        if outcome["status"] == SolveResult.UNKNOWN.name \
-                and budget is not None and budget.max_seconds is not None:
-            return False
-        return True
 
     # ------------------------------------------------------------------
     @staticmethod

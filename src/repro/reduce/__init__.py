@@ -49,7 +49,7 @@ closure — but conclusive verdicts never disagree.
 """
 
 from .reduced import ReducedSystem, identity_reduction
-from .structure import FunctionalView, ternary_evaluate
+from .structure import FunctionalView
 from .transforms import (REDUCE_MODES, ConeOfInfluence, ConstantLatches,
                          DuplicateLatches, InputPruning, Pipeline, Reduction,
                          ReductionState, default_pipeline, reduce_for_target,
@@ -60,7 +60,7 @@ __all__ = [
     "ConstantLatches", "DuplicateLatches", "ConeOfInfluence",
     "InputPruning",
     "ReducedSystem", "identity_reduction",
-    "FunctionalView", "ternary_evaluate",
+    "FunctionalView",
     "default_pipeline", "reduce_system", "reduce_for_target",
     "resolve_reduce", "REDUCE_MODES",
 ]

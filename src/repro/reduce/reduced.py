@@ -30,6 +30,7 @@ from typing import Dict, List, Optional
 
 from ..logic import expr as ex
 from ..logic.expr import Expr
+from ..logic.program import cached_program
 from ..spec.property import (And, Atom, Finally, Globally, Invariant, Next,
                              Not, Or, Property, Reachable, Release, Until)
 from ..system.model import TransitionSystem
@@ -141,6 +142,11 @@ class ReducedSystem:
             return trace
         assert self.view is not None
         original = self.original
+        removed = [latch for latch in original.state_vars
+                   if latch not in self._kept_set]
+        program = cached_program(
+            self, "lift", [self.view.updates[latch] for latch in removed])
+        where = program.slots_of(original.state_vars + original.input_vars)
         state0: Dict[str, bool] = {}
         for latch in original.state_vars:
             if latch in self._kept_set:
@@ -152,15 +158,14 @@ class ReducedSystem:
         for i in range(trace.length):
             step_inputs = {name: bool(trace.inputs[i].get(name, False))
                            for name in original.input_vars}
-            env: Dict[str, bool] = dict(states[i])
-            env.update(step_inputs)
-            nxt: Dict[str, bool] = {}
-            for latch in original.state_vars:
-                if latch in self._kept_set:
-                    nxt[latch] = bool(trace.states[i + 1][latch])
-                else:
-                    nxt[latch] = self.view.updates[latch].evaluate(env)
-            states.append(nxt)
+            slots = program.run(where, [
+                *map(int, states[i].values()),
+                *map(int, step_inputs.values())], 1)
+            computed = iter(program.outputs)
+            states.append({
+                latch: bool(trace.states[i + 1][latch])
+                if latch in self._kept_set else bool(slots[next(computed)])
+                for latch in original.state_vars})
             inputs.append(step_inputs)
         return Trace(states, inputs)
 

@@ -11,11 +11,12 @@ the hash-consed ``Expr`` DAG.  Systems whose TR is not in this form
 simply have no view — the pipeline then degrades to the identity
 reduction rather than guessing.
 
-The module also provides :func:`ternary_evaluate`, a three-valued
-(Kleene) evaluator over ``Expr`` DAGs: ``None`` means *unknown* (the
-X of ternary simulation).  Constant-latch detection runs a ternary
-fixpoint with all inputs at X, so a latch reported constant really is
-stuck at its reset value on every execution.
+Constant-latch detection (:func:`constant_latch_values`) runs a
+ternary fixpoint with all inputs at X, so a latch reported constant
+really is stuck at its reset value on every execution.  It evaluates
+the update functions with the dual-rail (Kleene) lowering of their
+compiled :class:`~repro.logic.program.Program`: one run per round
+re-evaluates every latch at once.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..logic import expr as ex
 from ..logic.expr import Expr
+from ..logic.program import Program
 from ..system.model import TransitionSystem, is_primed, unprimed
 
-__all__ = ["FunctionalView", "ternary_evaluate", "conjuncts",
-           "constant_latch_values", "support_cone"]
+__all__ = ["FunctionalView", "conjuncts", "constant_latch_values",
+           "support_cone"]
 
 
 def conjuncts(root: Expr) -> List[Expr]:
@@ -153,23 +155,26 @@ def constant_latch_values(updates: Mapping[str, Expr],
     """The ternary constant fixpoint over per-latch update functions.
 
     Starts every latch at its reset value (X when absent from
-    ``resets``) with all inputs at X, and re-evaluates updates
-    three-valued until stable.  A latch still definite at the fixpoint
-    is stuck at that value on *every* execution (X over-approximates
-    all concrete choices); None marks a genuinely varying latch.
+    ``resets``) with all inputs at X, and re-evaluates all updates
+    three-valued, one dual-rail run per round, until stable.  A latch
+    still definite at the fixpoint is stuck at that value on *every*
+    execution (X over-approximates all concrete choices); None marks
+    a genuinely varying latch.
     Shared by :class:`repro.reduce.transforms.ConstantLatches` and the
     suite's probe selection.
     """
     values: Dict[str, Optional[bool]] = {
         latch: resets.get(latch) for latch in updates}
+    # A latch starting at X stays X: only definite ones are evaluated.
+    latches = [latch for latch in updates if values[latch] is not None]
+    program = Program([updates[latch] for latch in latches])
     changed = True
     while changed:
         changed = False
-        for latch in updates:
+        nxt = program.ternary(values)
+        for latch, value in zip(latches, nxt):
             current = values[latch]
-            if current is None:
-                continue
-            if ternary_evaluate(updates[latch], values) is not current:
+            if current is not None and value is not current:
                 values[latch] = None
                 changed = True
     return values
@@ -196,62 +201,3 @@ def support_cone(updates: Mapping[str, Expr],
             if dep in updates and dep not in cone:
                 frontier.append(dep)
     return cone
-
-
-def ternary_evaluate(root: Expr,
-                     env: Mapping[str, Optional[bool]]) -> Optional[bool]:
-    """Three-valued (Kleene) evaluation; ``None`` is the unknown X.
-
-    Variables missing from ``env`` (or mapped to None) evaluate to X;
-    X propagates unless the operator's known operands already decide
-    the result (``False & X = False``, ``True | X = True``, ...).
-
-    >>> a, b = ex.var("a"), ex.var("b")
-    >>> ternary_evaluate(a & b, {"a": False})
-    False
-    >>> ternary_evaluate(a | b, {"a": False}) is None
-    True
-    """
-    values: Dict[int, Optional[bool]] = {}
-    for node in root.iter_dag():
-        op = node.op
-        if op == "const":
-            out: Optional[bool] = node.value
-        elif op == "var":
-            out = env.get(node.name)
-        else:
-            child = [values[c.uid] for c in node.args]
-            if op == "not":
-                out = None if child[0] is None else not child[0]
-            elif op == "and":
-                if any(c is False for c in child):
-                    out = False
-                elif all(c is True for c in child):
-                    out = True
-                else:
-                    out = None
-            elif op == "or":
-                if any(c is True for c in child):
-                    out = True
-                elif all(c is False for c in child):
-                    out = False
-                else:
-                    out = None
-            elif op == "xor":
-                out = None if None in child else child[0] != child[1]
-            elif op == "iff":
-                out = None if None in child else child[0] == child[1]
-            elif op == "ite":
-                cond, then_v, else_v = child
-                if cond is True:
-                    out = then_v
-                elif cond is False:
-                    out = else_v
-                elif then_v is not None and then_v == else_v:
-                    out = then_v
-                else:
-                    out = None
-            else:  # pragma: no cover - exhaustive over Expr ops
-                raise ValueError(f"unknown operator {op!r}")
-        values[node.uid] = out
-    return values[root.uid]

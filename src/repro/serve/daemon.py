@@ -41,7 +41,8 @@ from typing import Any, Dict, Optional
 
 from ..bmc.backend import ALL_METHODS
 from ..models import FAMILIES, build_suite
-from ..portfolio.cache import MemoryCache, ResultCache, cell_key
+from ..portfolio.cache import (MemoryCache, ResultCache, cacheable,
+                               cell_key)
 from ..portfolio.ipc import (budget_from_dict, decode_trace, encode_trace,
                              make_cell_payload, strip_run_keys)
 from ..reduce import identity_reduction, reduce_for_target
@@ -641,7 +642,8 @@ class ServeDaemon:
             self.stats["failed"] += 1
         else:
             self.stats["completed"] += 1
-            if self._cacheable(sanitized, job.spec["budget"]):
+            budget = job.spec["budget"] or {}
+            if cacheable(sanitized, budget.get("max_seconds")):
                 self.cache.put(job.key, sanitized)
         current_metrics().inc(f"serve.jobs.{job.state.value}")
         for waiter in job.waiters:
@@ -677,19 +679,6 @@ class ServeDaemon:
     # ------------------------------------------------------------------
     # Result shaping
     # ------------------------------------------------------------------
-    @staticmethod
-    def _cacheable(outcome: Dict[str, Any],
-                   budget: Optional[Dict[str, Any]]) -> bool:
-        """Same policy as the batch scheduler: never cache errors,
-        never cache UNKNOWN produced under a wall-clock term (it
-        reflects machine load, not the query)."""
-        if outcome.get("error") or outcome.get("timed_out"):
-            return False
-        if outcome.get("status") == "UNKNOWN" and budget is not None \
-                and budget.get("max_seconds") is not None:
-            return False
-        return True
-
     @staticmethod
     def _result_view(outcome: Dict[str, Any],
                      reduction) -> Dict[str, Any]:

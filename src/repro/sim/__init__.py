@@ -7,8 +7,8 @@ simulation finds in microseconds.  This package provides that cheap
 first tier:
 
 * :mod:`repro.sim.engine` compiles a transition system's per-latch
-  next-state functions (plus any probe predicates) into a flat,
-  topologically sorted op list evaluated over Python ints used as
+  next-state functions (plus any probe predicates) into one
+  :class:`~repro.logic.program.Program`, run over Python ints used as
   W-lane bit-vectors — one pass steps W random traces at once;
 * :mod:`repro.sim.falsify` drives the compiled net on a random walk
   (reset-state starts, random input stuffing, restart schedule),

@@ -1,16 +1,13 @@
-"""Compile transition systems to flat op lists for W-lane evaluation.
+"""Compile transition systems for bit-parallel random simulation.
 
-A :class:`CompiledNet` turns the per-latch next-state functions of a
+A :class:`CompiledNet` feeds the per-latch next-state functions of a
 :class:`~repro.system.model.TransitionSystem` (recovered through
-:class:`~repro.reduce.structure.FunctionalView`) plus any number of
-named *probe* predicates into one topologically sorted list of
-register-machine ops.  Evaluation interprets every register as a
-W-lane bit-vector packed into a single Python int: lane ``i`` of every
-register together forms one concrete trace, so one pass over the op
-list advances W independent random simulations at once.  Python's
-arbitrary-precision ints make the lane count a free parameter —
-anything from 64 to 4096 lanes runs through the identical code path,
-with the bignum layer doing the wide AND/OR/XOR in C.
+:class:`~repro.reduce.structure.FunctionalView`), its invariant
+constraints and any number of named *probe* predicates to one
+:class:`~repro.logic.program.Program`, the library's W-lane op-list
+evaluator: lane ``i`` of every register together forms one concrete
+trace, so one pass over the op list advances W independent random
+simulations at once.
 
 Only systems whose TR decomposes into per-latch functions can be
 compiled (circuit-derived systems always do; relational TRs such as
@@ -20,25 +17,14 @@ the rest, and callers degrade to the solver tiers.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..logic.expr import Expr
+from ..logic.program import Program
 from ..reduce.structure import FunctionalView
 from ..system.model import TransitionSystem
 
 __all__ = ["CompiledNet", "SimCompileError"]
-
-# Op codes — small ints so the eval loop dispatches on an int compare.
-_NOT = 0
-_AND = 1
-_OR = 2
-_XOR = 3
-_IFF = 4
-_ITE = 5
-
-# Distinguished register slots for the two constants.
-_FALSE_SLOT = 0
-_TRUE_SLOT = 1
 
 
 class SimCompileError(ValueError):
@@ -48,7 +34,7 @@ class SimCompileError(ValueError):
 
 
 class CompiledNet:
-    """A flat op-list program computing next-state + probe values.
+    """Next-state functions, constraints and probes as one program.
 
     Attributes
     ----------
@@ -76,81 +62,25 @@ class CompiledNet:
         self.inputs: List[str] = list(system.input_vars)
         self.resets: Dict[str, bool] = dict(view.resets)
 
-        self._ops: List[Tuple[int, ...]] = []
-        self._slot_of: Dict[int, int] = {}
-        self._var_slot: Dict[str, int] = {}
-        self._next = 2                      # 0/1 reserved for constants
-
         roots: List[Expr] = [view.updates[v] for v in self.latches]
         roots.extend(view.constraints)
         roots.extend(probes.values())
-        for root in roots:
-            self._compile(root)
+        self.program = program = Program(roots)
 
-        vocabulary = set(self.latches) | set(self.inputs)
-        stray = set(self._var_slot) - vocabulary
+        stray = set(program.variables) - set(self.latches) \
+            - set(self.inputs)
         if stray:
             raise SimCompileError(
                 f"compiled roots depend on unknown variables: "
                 f"{sorted(stray)}")
 
-        self._update_slots: List[int] = [
-            self._slot_of[view.updates[v].uid] for v in self.latches]
-        self._constraint_slots: List[int] = [
-            self._slot_of[c.uid] for c in view.constraints]
-        self._probe_slots: Dict[str, int] = {
-            name: self._slot_of[expr.uid]
-            for name, expr in probes.items()}
-        self._latch_slots: List[int] = [
-            self._var_slot.get(v, -1) for v in self.latches]
-        self._input_slots: List[int] = [
-            self._var_slot.get(v, -1) for v in self.inputs]
-        self.num_slots = self._next
+        outputs = iter(program.outputs)
+        self._update_slots = [next(outputs) for _ in self.latches]
+        self._constraint_slots = [next(outputs) for _ in view.constraints]
+        self._probe_slots: Dict[str, int] = dict(zip(probes, outputs))
+        self._var_slots = program.slots_of(self.latches + self.inputs)
+        self.num_slots = program.num_slots
 
-    # ------------------------------------------------------------------
-    # Compilation
-    # ------------------------------------------------------------------
-    def _compile(self, root: Expr) -> None:
-        slot_of = self._slot_of
-        for node in root.iter_dag():
-            if node.uid in slot_of:
-                continue
-            op = node.op
-            if op == "const":
-                slot_of[node.uid] = _TRUE_SLOT if node.value else _FALSE_SLOT
-                continue
-            if op == "var":
-                slot = self._var_slot.get(node.name)
-                if slot is None:
-                    slot = self._alloc()
-                    self._var_slot[node.name] = slot
-                slot_of[node.uid] = slot
-                continue
-            dst = self._alloc()
-            slot_of[node.uid] = dst
-            kids = tuple(slot_of[a.uid] for a in node.args)
-            if op == "not":
-                self._ops.append((_NOT, dst, kids[0]))
-            elif op == "and":
-                self._ops.append((_AND, dst, kids))
-            elif op == "or":
-                self._ops.append((_OR, dst, kids))
-            elif op == "xor":
-                self._ops.append((_XOR, dst, kids[0], kids[1]))
-            elif op == "iff":
-                self._ops.append((_IFF, dst, kids[0], kids[1]))
-            elif op == "ite":
-                self._ops.append((_ITE, dst, kids[0], kids[1], kids[2]))
-            else:  # pragma: no cover - constructors emit no other ops
-                raise SimCompileError(f"unknown op {op!r}")
-
-    def _alloc(self) -> int:
-        slot = self._next
-        self._next += 1
-        return slot
-
-    # ------------------------------------------------------------------
-    # Evaluation
     # ------------------------------------------------------------------
     def eval_frame(self, state: List[int], frame_inputs: List[int],
                    mask: int) -> Tuple[List[int], int, Dict[str, int]]:
@@ -164,35 +94,8 @@ class CompiledNet:
         values describe the *current* state and remain meaningful for
         every lane regardless).
         """
-        slots = [0] * self.num_slots
-        slots[_TRUE_SLOT] = mask
-        for slot, lanes in zip(self._latch_slots, state):
-            if slot >= 0:
-                slots[slot] = lanes
-        for slot, lanes in zip(self._input_slots, frame_inputs):
-            if slot >= 0:
-                slots[slot] = lanes
-        for op in self._ops:
-            code = op[0]
-            if code == _NOT:
-                slots[op[1]] = mask ^ slots[op[2]]
-            elif code == _AND:
-                acc = mask
-                for a in op[2]:
-                    acc &= slots[a]
-                slots[op[1]] = acc
-            elif code == _OR:
-                acc = 0
-                for a in op[2]:
-                    acc |= slots[a]
-                slots[op[1]] = acc
-            elif code == _XOR:
-                slots[op[1]] = slots[op[2]] ^ slots[op[3]]
-            elif code == _IFF:
-                slots[op[1]] = mask ^ (slots[op[2]] ^ slots[op[3]])
-            else:  # _ITE
-                c = slots[op[2]]
-                slots[op[1]] = (c & slots[op[3]]) | ((mask ^ c) & slots[op[4]])
+        slots = self.program.run(self._var_slots, [*state, *frame_inputs],
+                                 mask)
         nxt = [slots[s] for s in self._update_slots]
         ok = mask
         for s in self._constraint_slots:
@@ -217,12 +120,12 @@ class CompiledNet:
 
     def num_ops(self) -> int:
         """Program length — the per-frame work in gate evaluations."""
-        return len(self._ops)
+        return len(self.program.ops)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (f"CompiledNet({self.system.name!r}, ops={len(self._ops)}, "
-                f"latches={len(self.latches)}, probes="
-                f"{len(self._probe_slots)})")
+        return (f"CompiledNet({self.system.name!r}, "
+                f"ops={self.num_ops()}, latches={len(self.latches)}, "
+                f"probes={len(self._probe_slots)})")
 
 
 def lane_bit(lanes: int, lane: int) -> bool:

@@ -41,7 +41,7 @@ from typing import Callable, Dict, Mapping, Optional, Sequence
 from ..logic.expr import Expr
 from ..sat.types import Budget, SolveResult
 from ..system.model import TransitionSystem
-from ..system.trace import Trace, TraceError
+from ..system.trace import Trace, TraceError, lane_vector
 from ..telemetry.trace import current_tracer
 from .eval import holds_on_path
 from .ltl import (compile_search, loop_conditions_for, loop_input_name,
@@ -240,12 +240,8 @@ class PropertyChecker:
                  sim_tier: bool = True) -> None:
         from ..reduce import resolve_reduce
         if prover is not None:
-            from ..bmc.backend import backend_class  # deferred: bmc imports spec
-            if not backend_class(prover).proves_unbounded:
-                raise ValueError(
-                    f"{prover!r} is a bounded falsifier, not a prover; "
-                    f"pick a backend with proves_unbounded=True "
-                    f"(k-induction / interpolation / diameter)")
+            from ..bmc.backend import require_prover  # bmc imports spec
+            require_prover(prover)
         self.system = system
         self.properties = normalize_properties(properties)
         self.purge_interval = purge_interval
@@ -551,13 +547,14 @@ class PropertyChecker:
                 self._validate_witness(name, formula, trace, loop_inputs,
                                        system)
             trace = reduction.lift(trace)
-            if self.validate and not reduction.is_identity:
-                # ... and the lifted full-width path must replay
-                # against the original transition system.
-                trace.validate(self.system)
             target = reachability_target(prop)
             if target is not None:
                 trace = trace.shorten_to(target)
+            if self.validate and not reduction.is_identity:
+                # ... and the lifted full-width path must replay
+                # against the original transition system and still
+                # reach the original target.
+                trace.validate(self.system, target)
         unrolling.retire(group)
         solver = unrolling.solver
         stats = {
@@ -623,11 +620,11 @@ class PropertyChecker:
         trace = sim_out.trace
         assert trace is not None
         trace = cone.reduction.lift(trace)
-        if self.validate:
-            trace.validate(self.system)
         original_target = reachability_target(prop)
         if original_target is not None:
             trace = trace.shorten_to(original_target)
+        if self.validate:
+            trace.validate(self.system, original_target)
         _, universal = search_plan(mapped)
         verdict = Verdict.VIOLATED if universal else Verdict.HOLDS
         stats = dict(sim_out.stats, sim_presolved=True)
@@ -653,15 +650,20 @@ class PropertyChecker:
         trace.validate(system)
         if holds_on_path(formula, trace.states):
             return
-        k = trace.length
-        order = system.state_vars
         if loop_inputs is not None:
+            # Every candidate back-edge k -> l in one TR run: lane l
+            # carries the step from the last state to state l.
+            k = trace.length
+            mask = (1 << (k + 1)) - 1
+            last = trace.states[k]
+            closing = system.trans_lanes(
+                [mask if last[v] else 0 for v in system.state_vars],
+                [mask if loop_inputs[n] else 0 for n in system.input_vars],
+                [lane_vector(trace.states, v) for v in system.state_vars],
+                mask)
             for loopback in range(k + 1):
-                if system.holds_trans(
-                        trace.state_bits(k, order), loop_inputs,
-                        trace.state_bits(loopback, order)) \
-                        and holds_on_path(formula, trace.states,
-                                          loopback=loopback):
+                if closing >> loopback & 1 and holds_on_path(
+                        formula, trace.states, loopback=loopback):
                     return
         raise TraceError(
             f"witness for property {name!r} does not satisfy its "

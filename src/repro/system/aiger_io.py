@@ -19,7 +19,7 @@ import os
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 from ..logic import expr as ex
-from ..logic.aig import AIG, aig_to_expr
+from ..logic.aig import AIG, aig_to_expr, build_literals
 from .circuit import Circuit
 
 __all__ = ["parse_aiger", "parse_aiger_binary", "load_aiger",
@@ -279,45 +279,12 @@ def _circuit_to_aig(circuit: Circuit):
         leaf_lit[latch] = lit
         latch_literal[latch] = lit
 
-    cache: Dict[int, int] = {}
+    def leaf(name: str) -> int:
+        if name not in leaf_lit:
+            raise AigerError(f"free wire {name!r} in expression")
+        return leaf_lit[name]
 
-    def build(node: ex.Expr) -> int:
-        for sub in node.iter_dag():
-            if sub.uid in cache:
-                continue
-            if sub.is_const:
-                cache[sub.uid] = 1 if sub.value else 0
-            elif sub.is_var:
-                assert sub.name is not None
-                if sub.name not in leaf_lit:
-                    raise AigerError(f"free wire {sub.name!r} in expression")
-                cache[sub.uid] = leaf_lit[sub.name]
-            elif sub.op == "not":
-                cache[sub.uid] = cache[sub.args[0].uid] ^ 1
-            elif sub.op == "and":
-                acc = 1
-                for child in sub.args:
-                    acc = aig.mk_and(acc, cache[child.uid])
-                cache[sub.uid] = acc
-            elif sub.op == "or":
-                acc = 0
-                for child in sub.args:
-                    acc = aig.mk_or(acc, cache[child.uid])
-                cache[sub.uid] = acc
-            elif sub.op == "xor":
-                a, b = (cache[c.uid] for c in sub.args)
-                cache[sub.uid] = aig.mk_xor(a, b)
-            elif sub.op == "iff":
-                a, b = (cache[c.uid] for c in sub.args)
-                cache[sub.uid] = aig.mk_xor(a, b) ^ 1
-            elif sub.op == "ite":
-                c, t, e = (cache[x.uid] for x in sub.args)
-                cache[sub.uid] = aig.mk_ite(c, t, e)
-            else:
-                raise AigerError(f"unknown operator {sub.op!r}")
-        return cache[node.uid]
-
-    root_lits = [build(r) for r in roots]
+    root_lits = build_literals(aig, roots, leaf)
     n_latch = len(circuit.latch_names)
     latch_out_lits = root_lits[:n_latch]
     output_lits = root_lits[n_latch:n_latch + len(output_items)]

@@ -12,6 +12,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..logic import expr as ex
 from ..logic.expr import Expr
+from ..logic.program import cached_program
 from .model import TransitionSystem, primed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle at runtime only
@@ -186,17 +187,17 @@ class Circuit:
                     raise ValueError(
                         f"latch {name!r} has unconstrained init; supply it")
                 state[name] = init
+        nexts = [self._next_exprs[name] for name in self.latch_names]
+        assert all(next_expr is not None for next_expr in nexts)
+        program = cached_program(self, "next", nexts)
         states = [dict(state)]
         for step_inputs in input_sequence:
             env = dict(state)
             for name in self.input_names:
                 env[name] = bool(step_inputs[name])
-            new_state = {}
-            for name in self.latch_names:
-                next_expr = self._next_exprs[name]
-                assert next_expr is not None
-                new_state[name] = next_expr.evaluate(env)
-            state = new_state
+            values = program.evaluate(env)
+            state = {name: bool(value)
+                     for name, value in zip(self.latch_names, values)}
             states.append(dict(state))
         return states
 
@@ -205,8 +206,9 @@ class Circuit:
         """Evaluate all declared outputs in a given state."""
         env = dict(state)
         env.update(inputs)
-        return {name: expr.evaluate(env)
-                for name, expr in self.outputs.items()}
+        program = cached_program(self, "outputs", list(self.outputs.values()))
+        return {name: bool(value) for name, value
+                in zip(self.outputs, program.evaluate(env))}
 
     def stats(self) -> Dict[str, int]:
         """Size counters: inputs, latches and compiled DAG nodes."""

@@ -21,6 +21,7 @@ from typing import Dict, List, Mapping, Sequence
 
 from ..logic import expr as ex
 from ..logic.expr import Expr
+from ..logic.program import cached_program
 
 __all__ = ["TransitionSystem", "primed", "unprimed", "is_primed",
            "compose_systems"]
@@ -172,7 +173,7 @@ class TransitionSystem:
                                 name=f"{self.name}.reversed")
 
     # ------------------------------------------------------------------
-    # Concrete-state evaluation (used by the explicit oracle & traces)
+    # Concrete-state evaluation (used by traces and the LTL loop check)
     # ------------------------------------------------------------------
     def state_dict(self, bits: Sequence[bool]) -> Dict[str, bool]:
         """Assignment mapping for a concrete state given as a bit tuple."""
@@ -188,11 +189,25 @@ class TransitionSystem:
                     nxt: Sequence[bool]) -> bool:
         """Whether TR admits the step ``current`` → ``nxt`` under
         ``inputs`` (all states given as concrete bit vectors)."""
-        env = self.state_dict(current)
-        env.update({primed(v): b for v, b in zip(self.state_vars, nxt)})
-        for name in self.input_vars:
-            env[name] = bool(inputs[name])
-        return self.trans.evaluate(env)
+        if len(current) != len(self.state_vars) or \
+                len(nxt) != len(self.state_vars):
+            raise ValueError("state width mismatch")
+        return bool(self.trans_lanes(
+            [int(bool(b)) for b in current],
+            [int(bool(inputs[name])) for name in self.input_vars],
+            [int(bool(b)) for b in nxt], 1))
+
+    def trans_lanes(self, current: Sequence[int], inputs: Sequence[int],
+                    nxt: Sequence[int], mask: int) -> int:
+        """The lanes of ``mask = (1 << W) - 1`` whose step satisfies TR,
+        for lane vectors aligned to :attr:`state_vars` (``current``,
+        ``nxt``) and :attr:`input_vars`; TR is compiled once per system.
+        """
+        program = cached_program(self, "trans", (self.trans,))
+        where = program.slots_of(self.state_vars + self.input_vars
+                              + self.next_vars)
+        slots = program.run(where, [*current, *inputs, *nxt], mask)
+        return slots[program.outputs[0]]
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"TransitionSystem({self.name!r}, bits={self.num_state_bits},"

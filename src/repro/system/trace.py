@@ -4,7 +4,7 @@ Every BMC backend in this library returns, on SAT, a :class:`Trace` —
 the witness path Z0 → Z1 → ... → Zk.  ``validate`` replays the trace
 against the transition system, which is how the test-suite proves that
 the four different decision procedures (formulae (1)–(3) and jSAT) all
-find *real* paths.
+find *real* paths: all k steps in one k-lane run of the compiled TR.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..logic.expr import Expr
-from .model import TransitionSystem, primed
+from .model import TransitionSystem
 
-__all__ = ["Trace", "TraceError"]
+__all__ = ["Trace", "TraceError", "lane_vector"]
 
 
 class TraceError(ValueError):
@@ -49,10 +49,6 @@ class Trace:
         """Number of steps (k), not states."""
         return len(self.states) - 1
 
-    def state_bits(self, index: int, order: Sequence[str]) -> List[bool]:
-        """State at a step as a bit vector in the given variable order."""
-        return [self.states[index][v] for v in order]
-
     # ------------------------------------------------------------------
     def validate(self, system: TransitionSystem,
                  final: Expr | None = None) -> None:
@@ -60,7 +56,7 @@ class Trace:
 
         Checks: (a) state 0 satisfies init, (b) every consecutive pair
         satisfies TR under the recorded inputs, (c) the last state
-        satisfies ``final`` if given.
+        satisfies ``final`` if given.  Lane i of one TR run checks step i.
         """
         if not self.states:
             raise TraceError("empty trace")
@@ -70,16 +66,25 @@ class Trace:
                 raise TraceError(f"state {i} missing variables {missing}")
         if not system.init.evaluate(self.states[0]):
             raise TraceError("state 0 does not satisfy init")
-        for i in range(self.length):
-            env = dict(self.states[i])
-            env.update({primed(v): self.states[i + 1][v]
-                        for v in system.state_vars})
-            for name in system.input_vars:
-                if name not in self.inputs[i]:
-                    raise TraceError(f"step {i} missing input {name!r}")
-                env[name] = self.inputs[i][name]
-            if not system.trans.evaluate(env):
-                raise TraceError(f"transition {i} -> {i + 1} violates TR")
+        # Steps before the first one missing an input replay; that
+        # step reports its input unless an earlier transition fails.
+        inputs = system.input_vars
+        steps = next((i for i, step in enumerate(self.inputs)
+                      if any(n not in step for n in inputs)), self.length)
+        mask = (1 << steps) - 1
+        # Bit i of a state vector is the value at state i, so the
+        # next-state lanes are the same vector shifted down by one.
+        states = [lane_vector(self.states, v) for v in system.state_vars]
+        failed = mask & ~system.trans_lanes(
+            [vector & mask for vector in states],
+            [lane_vector(self.inputs, n) & mask for n in inputs],
+            [vector >> 1 & mask for vector in states], mask)
+        if failed:
+            i = (failed & -failed).bit_length() - 1
+            raise TraceError(f"transition {i} -> {i + 1} violates TR")
+        if steps < self.length:
+            name = next(n for n in inputs if n not in self.inputs[steps])
+            raise TraceError(f"step {steps} missing input {name!r}")
         if final is not None and not final.evaluate(self.states[-1]):
             raise TraceError("last state does not satisfy the target")
 
@@ -121,3 +126,9 @@ class Trace:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Trace(length={self.length})"
+
+
+def lane_vector(steps: Sequence[Dict[str, bool]], name: str) -> int:
+    """One variable across steps (states or inputs) as a lane vector:
+    bit i is its value at step i."""
+    return sum(1 << i for i, step in enumerate(steps) if step.get(name))

@@ -15,19 +15,20 @@ import pytest
 from repro.bmc import BmcSession
 from repro.harness.runner import run_matrix, run_property_matrix
 from repro.logic import expr as ex
+from repro.logic.program import Program
 from repro.models import build_property_suite, build_suite, counter
 from repro.portfolio.race import race
 from repro.reduce import (ConeOfInfluence, ConstantLatches, DuplicateLatches,
                           FunctionalView, InputPruning, Pipeline,
+                          ReducedSystem,
                           default_pipeline, identity_reduction,
-                          reduce_for_target, reduce_system, resolve_reduce,
-                          ternary_evaluate)
+                          reduce_for_target, reduce_system, resolve_reduce)
 from repro.sat.types import SolveResult
 from repro.spec import Invariant, PropertyChecker, Reachable
 from repro.spec.property import Atom, Finally, Globally, Until
 from repro.system.circuit import Circuit
 from repro.system.random_model import random_predicate, random_system
-from repro.system.trace import Trace
+from repro.system.trace import Trace, TraceError
 
 
 def _deepest_per_family(limit=None):
@@ -77,12 +78,16 @@ class TestStructure:
 
     def test_ternary_evaluate_kleene(self):
         a, b = ex.var("a"), ex.var("b")
-        assert ternary_evaluate(a & b, {"a": False}) is False
-        assert ternary_evaluate(a | b, {"b": True}) is True
-        assert ternary_evaluate(a ^ b, {"a": True}) is None
-        assert ternary_evaluate(~a, {}) is None
-        assert ternary_evaluate(ex.mk_ite(a, b, b), {"b": False}) is False
-        assert ternary_evaluate(ex.TRUE, {}) is True
+
+        def ternary(root, env):
+            return Program([root]).ternary(env)[0]
+
+        assert ternary(a & b, {"a": False}) is False
+        assert ternary(a | b, {"b": True}) is True
+        assert ternary(a ^ b, {"a": True}) is None
+        assert ternary(~a, {}) is None
+        assert ternary(ex.mk_ite(a, b, b), {"b": False}) is False
+        assert ternary(ex.TRUE, {}) is True
 
 
 # ----------------------------------------------------------------------
@@ -554,6 +559,48 @@ class TestWiring:
         assert rs.map_expr(final) is final
         assert rs.summary()["latches_before"] == \
             rs.summary()["latches_after"]
+
+
+# ----------------------------------------------------------------------
+# Lifted witnesses must still reach the original target
+# ----------------------------------------------------------------------
+class TestLiftedWitnessTarget:
+    """A lift that loses the target state must not pass silently.
+
+    The patched lift drops the last state: the path still replays
+    against TR, so only a check against the original target notices.
+    """
+
+    @pytest.fixture
+    def lossy_lift(self, monkeypatch):
+        lift = ReducedSystem.lift
+
+        def drop_last_state(self, trace):
+            lifted = lift(self, trace)
+            if self.is_identity:
+                return lifted
+            return Trace(lifted.states[:-1], lifted.inputs[:-1])
+
+        monkeypatch.setattr(ReducedSystem, "lift", drop_last_state)
+
+    @pytest.mark.parametrize("sim_tier", [True, False])
+    def test_checker_raises(self, lossy_lift, sim_tier):
+        system, _, _ = counter.make(4)
+        # c1 first holds at count 2, so every witness at k=2 ends on
+        # the only target state of its path; the cone is {c0, c1}.
+        checker = PropertyChecker(system, {"p": Reachable(ex.var("c1"))},
+                                  reduce="auto", validate=True,
+                                  sim_tier=sim_tier)
+        with pytest.raises(TraceError, match="target"):
+            checker.check_all(2)
+
+    def test_race_rejects(self, lossy_lift):
+        system, _, _ = counter.make(4)
+        outcome = race(system, ex.var("c1"), 2, methods=("sat-unroll",),
+                       semantics="within", reduce="auto")
+        assert outcome.result.status is SolveResult.UNKNOWN
+        assert outcome.method_outcomes["sat-unroll"] == "invalid-witness"
+        assert outcome.method_outcomes["simulation"] == "invalid-witness"
 
 
 # Keep ruff happy about the intentionally unused transform imports —
