@@ -18,8 +18,8 @@ both keeping long-lived solver state alive across calls:
 
 Typed per-backend options are validated up front (unknown kwargs raise
 instead of vanishing), ``on_bound`` observers stream per-bound
-progress, and SAT answers are validated in debug mode (witness replay
-against the transition system).
+progress, and ``check`` witnesses are replayed against the original
+system and target before they are returned.
 
 Example
 -------
@@ -234,11 +234,10 @@ class BmcSession:
         """Decide whether the reachability target is reachable at bound k.
 
         ``semantics`` is "exact" (in exactly k steps — the paper's
-        query) or "within" (in at most k steps).  Within-mode traces
-        are cut at their first final state uniformly, whatever back end
-        produced them.  In debug mode (``__debug__``) every SAT trace
-        is re-validated against the transition system before being
-        returned.
+        query) or "within" (in at most k steps).  Every witness is
+        lifted to the original system, within-mode ones cut at their
+        first final state whatever back end produced them, and must
+        replay there and reach the target (else :class:`TraceError`).
         """
         if k < 0:
             raise ValueError("bound k must be non-negative")
@@ -259,18 +258,15 @@ class BmcSession:
             if result.proved:
                 sp.set(proved=True)
         if result.trace is not None:
-            result.trace = self._reduction().lift(result.trace)
-        if semantics == "within" and result.trace is not None:
-            result.trace = result.trace.shorten_to(final)
-        if __debug__ and result.status is SolveResult.SAT \
-                and result.trace is not None:
-            result.trace.validate(self.system, final)
-            if semantics == "exact" and result.trace.length != k:
+            trace = self._reduction().lift_witness(
+                result.trace, final, shorten=semantics == "within")
+            if trace is None or (semantics == "exact" and trace.length != k):
                 from ..system.trace import TraceError
                 raise TraceError(
-                    f"backend {backend.name!r} returned a length-"
-                    f"{result.trace.length} trace for an exact-{k} "
-                    f"query")
+                    f"backend {backend.name!r} returned a witness that does "
+                    f"not reach the target of this {semantics}-{k} query "
+                    f"on the original system")
+            result.trace = trace
         result.seconds = time.perf_counter() - start
         return result
 

@@ -166,27 +166,18 @@ def _cmd_solve_qbf(args: argparse.Namespace) -> int:
 
 
 def _cmd_bmc(args: argparse.Namespace) -> int:
-    if args.corpus is not None:
-        instance, err = _corpus_lookup(args.corpus, args.family)
-        if instance is None:
-            print(f"bmc: {err}", file=sys.stderr)
-            return 1
-    else:
-        instances = [i for i in build_suite() if i.family == args.family]
-        if not instances:
-            print(f"unknown family {args.family!r}; "
-                  f"available: {', '.join(FAMILIES)}", file=sys.stderr)
-            return 1
-        instance = instances[0]
+    instance = _lookup_instance(args, "bmc")
+    if instance is None:
+        return 1
     k = args.k if args.k is not None else instance.k
     if args.sim_tier:
         # Pre-solve tier: easy SAT instances die here, before any
-        # solver spins up (--no-sim-tier goes straight to --method).
+        # solver spins up (--no-sim-tier, a miss or a rejected witness
+        # go on to --method).
         from .sim import presolve
         sim_out = presolve(instance.system, instance.final, k,
                            semantics=args.semantics)
-        if sim_out is not None and sim_out.trace is not None:
-            sim_out.trace.validate(instance.system, instance.final)
+        if sim_out is not None and sim_out.hit:
             print(f"{instance.name} (k={k}, simulation pre-solve, "
                   f"{args.semantics}): SAT in {sim_out.seconds:.3f} s")
             for key, value in sorted(sim_out.stats.items()):
@@ -218,18 +209,9 @@ def _cmd_bmc(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .harness.report import format_sweep
 
-    if args.corpus is not None:
-        instance, err = _corpus_lookup(args.corpus, args.family)
-        if instance is None:
-            print(f"sweep: {err}", file=sys.stderr)
-            return 1
-    else:
-        instances = [i for i in build_suite() if i.family == args.family]
-        if not instances:
-            print(f"unknown family {args.family!r}; "
-                  f"available: {', '.join(FAMILIES)}", file=sys.stderr)
-            return 1
-        instance = instances[0]
+    instance = _lookup_instance(args, "sweep")
+    if instance is None:
+        return 1
     max_k = args.max_k if args.max_k is not None else instance.k
     status = 0
     with BmcSession(instance.system,
@@ -789,25 +771,32 @@ def _add_sim_tier_flag(parser: argparse.ArgumentParser,
                              "pre-solve tier before any solver spins up")
 
 
-def _corpus_lookup(corpus_dir: str, name: str):
-    """Resolve ``name`` against a corpus directory.
-
-    Matches a full instance name (``model:target``) or a bare model
-    stem (first target wins).  Returns ``(instance, None)`` or
-    ``(None, error message)``.
-    """
+def _lookup_instance(args: argparse.Namespace, verb: str):
+    """The family's first suite instance or, with ``--corpus``, the
+    corpus model matching ``args.family`` as ``model:target`` or bare
+    stem (first target wins); None after printing why there is none."""
+    if args.corpus is None:
+        instances = [i for i in build_suite() if i.family == args.family]
+        if instances:
+            return instances[0]
+        print(f"unknown family {args.family!r}; "
+              f"available: {', '.join(FAMILIES)}", file=sys.stderr)
+        return None
     from .workloads import CorpusError, ingest
     try:
-        report = ingest(corpus_dir)
+        report = ingest(args.corpus)
     except CorpusError as err:
-        return None, str(err)
-    matches = [i for i in report.instances
-               if i.name == name or i.name.split(":", 1)[0] == name]
+        print(f"{verb}: {err}", file=sys.stderr)
+        return None
+    matches = [i for i in report.instances if args.family
+               in (i.name, i.name.split(":", 1)[0])]
     if not matches:
         known = sorted(i.name for i in report.instances)
-        return None, (f"no corpus model {name!r} under {corpus_dir}; "
-                      f"instances: {', '.join(known) or '(none)'}")
-    return matches[0], None
+        print(f"{verb}: no corpus model {args.family!r} under "
+              f"{args.corpus}; instances: {', '.join(known) or '(none)'}",
+              file=sys.stderr)
+        return None
+    return matches[0]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -169,18 +169,6 @@ def _drop_pool() -> None:
 atexit.register(_drop_pool)
 
 
-def _lift_witness(reduction, trace: Trace, system: TransitionSystem,
-                  final: Expr, validate: bool) -> Optional[Trace]:
-    """``trace`` lifted to the original ``system`` through ``reduction``
-    (None for no reduction), or None when ``validate`` is set and the
-    lifted path does not replay there and end in ``final``."""
-    if reduction is not None:
-        trace = reduction.lift(trace)
-    if validate and not trace.is_valid(system, final):
-        return None
-    return trace
-
-
 def _validate_sat(system: TransitionSystem, final: Expr, k: int,
                   semantics: str, trace: Optional[Trace]) -> Optional[bool]:
     """True/False when the SAT claim could be checked, None otherwise."""
@@ -288,10 +276,11 @@ def race(system: TransitionSystem, final: Expr, k: int,
     pipeline cannot participate in the fingerprint).
 
     ``sim_tier`` (default on) runs the bit-parallel random-simulation
-    falsifier (:func:`repro.sim.presolve`) in the parent before any
-    lane is dispatched: a validated simulation witness settles the race
-    in milliseconds with zero solver lanes (winner ``"simulation"``,
-    every solver lane ``"skipped"``).  The tier is SAT-only and
+    falsifier (:func:`repro.sim.presolve`) on the raced query in the
+    parent before any lane is dispatched: a witness the tier checked
+    settles the race in milliseconds with zero solver lanes (winner
+    ``"simulation"``, every solver lane ``"skipped"``); a rejected one
+    reads ``"invalid-witness"``.  The tier is SAT-only and
     strictly wall-bounded, so switching it off changes timing, never
     verdicts.
 
@@ -374,39 +363,34 @@ def race(system: TransitionSystem, final: Expr, k: int,
     pipeline = resolve_reduce(reduce)
     reduction = None
     original_system, original_final = system, final
+    reduced_stats: Dict[str, int] = {}
     if pipeline is not None:
         candidate = reduce_for_target(system, final, pipeline)
         if not candidate.is_identity:
             reduction = candidate
             system = candidate.system
             final = candidate.map_expr(final)
+            reduced_stats = {"reduced_latches": len(system.state_vars),
+                             "original_latches":
+                             len(original_system.state_vars)}
 
-    sim_verdict = None
+    sim_rejected = False
     if sim_tier:
         from ..sim import presolve as sim_presolve
         sim_start = time.perf_counter()
-        sim_out = sim_presolve(system, final, k, semantics=semantics)
-        trace = None
-        if sim_out is not None:
-            trace = _lift_witness(reduction, sim_out.trace, original_system,
-                                  original_final, validate)
-            if trace is None:
-                sim_verdict = "invalid-witness"
-        if trace is not None:
+        sim_out = sim_presolve(original_system, original_final, k,
+                               semantics=semantics, reduction=reduction)
+        sim_rejected = sim_out is not None and sim_out.rejected
+        if sim_out is not None and sim_out.hit:
             sim_seconds = time.perf_counter() - sim_start
-            stats = dict(sim_out.stats)
-            stats["portfolio_winner"] = "simulation"
-            stats["sim_presolved"] = True
-            stats["portfolio_cancelled"] = 0
-            if reduction is not None:
-                stats["reduced_latches"] = len(system.state_vars)
-                stats["original_latches"] = \
-                    len(original_system.state_vars)
-            result = BmcResult(SolveResult.SAT, trace, k, "portfolio",
-                               sim_seconds, stats)
+            stats = dict(sim_out.stats, portfolio_winner="simulation",
+                         sim_presolved=True, portfolio_cancelled=0,
+                         **reduced_stats)
+            result = BmcResult(SolveResult.SAT, sim_out.trace, k,
+                               "portfolio", sim_seconds, stats)
             tracer.instant("portfolio.winner", method="simulation", k=k)
             logger.info("race pre-solved by simulation in %.3fs "
-                        "(witness length %d)", sim_seconds, trace.length)
+                        "(witness length %d)", sim_seconds, sim_out.hit_k)
             if race_key is not None:
                 cache.put(race_key, strip_run_keys(encode_outcome(result)))
             method_outcomes = {m: "skipped" for m in lanes}
@@ -425,8 +409,8 @@ def race(system: TransitionSystem, final: Expr, k: int,
     race_span.__enter__()
     start = time.perf_counter()
     method_outcomes = {m: "running" for m in lanes}
-    if sim_verdict is not None:
-        method_outcomes["simulation"] = sim_verdict
+    if sim_rejected:
+        method_outcomes["simulation"] = "invalid-witness"
     winner: Optional[str] = None
     winning: Optional[Dict[str, Any]] = None
     fallback: Optional[Dict[str, Any]] = None     # an UNKNOWN to report
@@ -475,9 +459,8 @@ def race(system: TransitionSystem, final: Expr, k: int,
                         # Workers validated in the reduced vocabulary;
                         # the lifted full-width path must replay on the
                         # original system and reach the original target.
-                        outcome["trace"] = _lift_witness(
-                            reduction, outcome["trace"], original_system,
-                            original_final, validate)
+                        outcome["trace"] = reduction.lift_witness(
+                            outcome["trace"], original_final)
                         if outcome["trace"] is None:
                             verdict = "invalid-witness"
                     method_outcomes[method] = verdict
@@ -519,10 +502,7 @@ def race(system: TransitionSystem, final: Expr, k: int,
                            proved=winning["proved"],
                            invariant=winning["invariant"])
         result.stats["portfolio_winner"] = winner
-        if reduction is not None:
-            result.stats["reduced_latches"] = len(system.state_vars)
-            result.stats["original_latches"] = \
-                len(original_system.state_vars)
+        result.stats.update(reduced_stats)
     else:
         stats = dict(fallback["stats"]) if fallback else {}
         result = BmcResult(SolveResult.UNKNOWN,

@@ -20,12 +20,13 @@ import logging
 import time
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..bmc.backend import BmcResult
 from ..models.suite import Instance
 from ..sat.types import Budget, SolveResult
 from ..telemetry.metrics import current_metrics
 from ..telemetry.trace import current_tracer
 from .cache import ResultCache, cacheable, cell_key
-from .ipc import (decode_outcome, encode_trace, make_cell_payload,
+from .ipc import (decode_outcome, encode_outcome, make_cell_payload,
                   merge_telemetry, strip_run_keys)
 from .pool import Task, WorkerPool
 
@@ -80,13 +81,6 @@ class BatchScheduler:
         self.stats: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def harvest_timings(results: Sequence[Any]
-                        ) -> Dict[Tuple[str, str], float]:
-        """Extract a timings map from a previous run's CellResults."""
-        return {(c.instance.name, c.method): c.seconds for c in results}
-
-    # ------------------------------------------------------------------
     def run(self, instances: Sequence[Instance], methods: Sequence[str],
             budget: Budget | None = None,
             semantics: str = "exact",
@@ -98,10 +92,11 @@ class BatchScheduler:
         """Parallel equivalent of ``run_matrix`` (same result order).
 
         ``sim_tier`` answers pending cells with the bit-parallel
-        random-simulation falsifier before any worker dispatch: a
-        validated simulation witness fills the cell (worker ``"sim"``,
-        its assigned method untouched, like a cache hit) so the pool
-        only spins up for the cells randomness could not settle.  Off
+        random-simulation falsifier on each cell's (reduced) query
+        before any worker dispatch: a checked witness fills the cell
+        (worker ``"sim"``, its assigned method untouched, like a cache
+        hit) so the pool only spins up for the cells randomness could
+        not settle.  Off
         by default — experiment matrices exist to *measure* the solver
         methods, which a pre-solve tier would skip.
 
@@ -172,7 +167,9 @@ class BatchScheduler:
 
         sim_answered = 0
         if sim_tier and pending:
+            from ..reduce import reduce_for_target, resolve_reduce
             from ..sim import presolve
+            pipeline = resolve_reduce(reduce)
             still_pending: List[int] = []
             # One falsification attempt per (instance, semantics) pair
             # answers every method lane of that instance at once.
@@ -182,24 +179,21 @@ class BatchScheduler:
                 cell_semantics = "within" if method == prover else semantics
                 probe = (id(instance), cell_semantics)
                 if probe not in attempts:
+                    # The same reduced query the cell's worker solves.
                     attempts[probe] = presolve(
                         instance.system, instance.final, instance.k,
-                        semantics=cell_semantics)
+                        semantics=cell_semantics,
+                        reduction=None if pipeline is None else
+                        reduce_for_target(instance.system, instance.final,
+                                          pipeline))
                 sim_out = attempts[probe]
-                if sim_out is None or not sim_out.trace.is_valid(
-                        instance.system, instance.final):
+                if sim_out is None or not sim_out.hit:
                     still_pending.append(slot)
                     continue
-                outcome = {
-                    "status": SolveResult.SAT.name,
-                    "k": sim_out.hit_k,
-                    "method": "simulation",
-                    "seconds": sim_out.seconds,
-                    "stats": dict(sim_out.stats,
-                                  sim_presolved=True),
-                    "trace": encode_trace(sim_out.trace),
-                    "error": None,
-                }
+                outcome = encode_outcome(BmcResult(
+                    SolveResult.SAT, sim_out.trace, sim_out.hit_k,
+                    "simulation", sim_out.seconds,
+                    dict(sim_out.stats, sim_presolved=True)))
                 slots[slot] = self._to_cell_result(
                     instance, method, outcome, worker="sim")
                 sim_answered += 1

@@ -169,6 +169,16 @@ class ReducedSystem:
             inputs.append(step_inputs)
         return Trace(states, inputs)
 
+    def lift_witness(self, trace: Trace, target: Expr, *,
+                     shorten: bool = False) -> Optional[Trace]:
+        """:meth:`lift` ``trace`` (cut at its first ``target`` state when
+        ``shorten``); None unless it replays on the original system and
+        ends in ``target``, the original query's (unmapped) target."""
+        lifted = self.lift(trace)
+        if shorten:
+            lifted = lifted.shorten_to(target)
+        return lifted if lifted.is_valid(self.original, target) else None
+
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------

@@ -2,49 +2,56 @@
 
 The C source ships with the package and is compiled once per machine
 with whatever system C compiler is available (``$CC``, ``cc``,
-``gcc``, ``clang``), into a content-addressed shared object under the
-user cache directory.  Loading is lazy and failure-tolerant: if no
-compiler is present or the build fails, :func:`load_core` returns None
-and the kernel engine transparently falls back to its pure-Python
-array implementation — same results, just slower.
+``gcc``, ``clang``), into a shared object under the user cache
+directory keyed by the source, ``$CC``, the flags and the platform.
+Loading is lazy and failure-tolerant: if no compiler is present or
+the build or load fails, :func:`load_core` logs one warning saying
+which and returns None, and the kernel engine falls back to its
+pure-Python array implementation — same results, just slower.
 
 Set ``REPRO_SAT_CC=off`` to force the fallback (used by the
 differential tests to pin both implementations against the reference
-solver), or ``REPRO_SAT_CC_DEBUG=1`` to surface build errors.
+solver).
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import logging
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 from typing import Optional
 
-__all__ = ["load_core", "compiled_available", "CORE_ENV"]
+__all__ = ["load_core", "compiled_available", "fallback_reason", "CORE_ENV"]
+
+logger = logging.getLogger(__name__)
 
 #: Environment switch for the compiled core ("off"/"0" disables it).
 CORE_ENV = "REPRO_SAT_CC"
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "ckernel.c")
+#: Compiler flags of the build (part of the cache key).
+_FLAGS = ("-O2", "-fPIC", "-shared")
 _lib: Optional[ctypes.CDLL] = None
 _tried = False
+_fallback: Optional[str] = None
 
 #: ctypes signature of the cooperative-cancellation probe passed to
 #: ``ck_solve`` (returns nonzero to abort the search).
 STOP_CB = ctypes.CFUNCTYPE(ctypes.c_int)
 
 
-def _debug(msg: str) -> None:
-    if os.environ.get("REPRO_SAT_CC_DEBUG"):
-        print(f"[repro.sat.ckernel] {msg}", file=sys.stderr)
-
-
 def _cache_path(source: bytes) -> str:
-    tag = hashlib.sha256(source).hexdigest()[:16]
+    key = hashlib.sha256(source)
+    for part in (os.environ.get("CC", ""), *_FLAGS, sys.platform,
+                 platform.machine()):
+        key.update(b"\0" + part.encode())
+    tag = key.hexdigest()[:16]
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
         os.path.expanduser("~"), ".cache")
     for root in (os.path.join(base, "repro"), tempfile.gettempdir()):
@@ -61,29 +68,31 @@ def _cache_path(source: bytes) -> str:
                         f"repro_ckernel_{tag}.so")
 
 
-def _compile(source_path: str, out_path: str) -> bool:
-    compilers = []
-    if os.environ.get("CC"):
-        compilers.append(os.environ["CC"])
+def _compile(source_path: str, out_path: str) -> Optional[str]:
+    """Build the shared object; None on success, else why not."""
+    compilers = [os.environ["CC"]] if os.environ.get("CC") else []
     compilers += ["cc", "gcc", "clang"]
     tmp_out = f"{out_path}.{os.getpid()}.tmp"
+    reason = f"no C compiler found (tried {', '.join(compilers)})"
     for cc in compilers:
-        cmd = [cc, "-O2", "-fPIC", "-shared", "-o", tmp_out, source_path]
         try:
-            proc = subprocess.run(cmd, capture_output=True, timeout=120)
+            proc = subprocess.run([cc, *_FLAGS, "-o", tmp_out, source_path],
+                                  capture_output=True, timeout=120)
+        except FileNotFoundError:
+            continue
         except (OSError, subprocess.TimeoutExpired) as exc:
-            _debug(f"{cc}: {exc}")
+            reason = f"build failed: {cc}: {exc}"
             continue
         if proc.returncode == 0:
             os.replace(tmp_out, out_path)
-            _debug(f"built with {cc} -> {out_path}")
-            return True
-        _debug(f"{cc} failed: {proc.stderr.decode(errors='replace')}")
+            return None
+        reason = f"build failed: {cc}: " \
+            + proc.stderr.decode(errors="replace").split("\n")[0]
     try:
         os.unlink(tmp_out)
     except OSError:
         pass
-    return False
+    return reason
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
@@ -138,7 +147,7 @@ def load_core() -> Optional[ctypes.CDLL]:
     compiler is available, or when the build/load fails; the result is
     cached for the life of the process.
     """
-    global _lib, _tried
+    global _lib, _tried, _fallback
     if os.environ.get(CORE_ENV, "").strip().lower() in (
             "off", "0", "false", "no", "py", "python"):
         return None
@@ -147,19 +156,22 @@ def load_core() -> Optional[ctypes.CDLL]:
     _tried = True
     try:
         with open(_SOURCE, "rb") as fh:
-            source = fh.read()
+            so_path = _cache_path(fh.read())
+        if not os.path.exists(so_path):
+            _fallback = _compile(_SOURCE, so_path)
+        if _fallback is None:
+            _lib = _bind(ctypes.CDLL(so_path))
     except OSError as exc:
-        _debug(f"source missing: {exc}")
-        return None
-    so_path = _cache_path(source)
-    if not os.path.exists(so_path) and not _compile(_SOURCE, so_path):
-        return None
-    try:
-        _lib = _bind(ctypes.CDLL(so_path))
-    except OSError as exc:
-        _debug(f"load failed: {exc}")
-        _lib = None
+        _fallback = f"load failed: {exc}"
+    if _fallback is not None:
+        logger.warning("compiled SAT core unavailable (%s); using the "
+                       "interpreted kernel", _fallback)
     return _lib
+
+
+def fallback_reason() -> Optional[str]:
+    """Why building or loading the compiled core failed, or None."""
+    return _fallback
 
 
 def compiled_available() -> bool:

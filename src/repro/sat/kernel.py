@@ -114,11 +114,14 @@ class KernelSolver:
         available); proof-logged solves and no-compiler environments
         use the pure-Python array path below.  Both are the same
         engine — the differential suite pins them to each other and
-        to the reference solver.
+        to the reference solver.  A failed core build or load counts
+        each fallback solver in ``sat.core_fallbacks``.
         """
-        if cls is KernelSolver and proof is None \
-                and _ckernel.load_core() is not None:
-            return object.__new__(_CKernelSolver)
+        if cls is KernelSolver and proof is None:
+            if _ckernel.load_core() is not None:
+                return object.__new__(_CKernelSolver)
+            if _ckernel.fallback_reason() is not None:
+                current_metrics().inc("sat.core_fallbacks")
         return object.__new__(cls)
 
     def __init__(self, proof: ResolutionProof | None = None) -> None:
@@ -219,7 +222,9 @@ class KernelSolver:
     # Clauses
     # ==================================================================
     def add_clause(self, dimacs_lits: Iterable[int]) -> bool:
-        """Add a clause; returns False iff the formula is now UNSAT.
+        """Add a clause; False means the formula is refuted, True
+        promises nothing (a conflict may show only at the next solve,
+        depending on the units earlier searches learnt).
 
         The solver backtracks to decision level 0 before adding.
         """
@@ -886,7 +891,7 @@ class KernelSolver:
                   stats.restarts, stats.learned)
         start = time.monotonic()
         with tracer.span("sat.solve", assumptions=len(assumptions),
-                         engine=self.engine) as sp:
+                         engine=self.engine, core=self.backend) as sp:
             result = self._solve(assumptions, budget)
             sp.set(result=result.name,
                    conflicts=stats.conflicts - before[0],
@@ -1236,7 +1241,7 @@ class _CKernelSolver(KernelSolver):
                                1 if phase else 0)
 
     def add_clause(self, dimacs_lits: Iterable[int]) -> bool:
-        """Add a clause; returns False iff the formula is now UNSAT."""
+        """Add a clause (one-sided: see KernelSolver.add_clause)."""
         lits = _int32_lits(dimacs_lits)
         res = self._lib.ck_add_clause(self._h, *lits.buffer_info())
         if res >= 0:

@@ -178,7 +178,9 @@ class CdclSolver:
     # Clauses
     # ==================================================================
     def add_clause(self, dimacs_lits: Iterable[int]) -> bool:
-        """Add a clause; returns False iff the formula is now UNSAT.
+        """Add a clause; False means the formula is refuted, True
+        promises nothing (a conflict may show only at the next solve,
+        depending on the units earlier searches learnt).
 
         The solver backtracks to decision level 0 before adding.
         """
@@ -638,7 +640,7 @@ class CdclSolver:
                   stats.restarts, stats.learned)
         start = time.monotonic()
         with tracer.span("sat.solve", assumptions=len(assumptions),
-                         engine=self.engine) as sp:
+                         engine=self.engine, core="reference") as sp:
             result = self._solve(assumptions, budget)
             sp.set(result=result.name,
                    conflicts=stats.conflicts - before[0],

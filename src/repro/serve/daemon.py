@@ -19,8 +19,10 @@ Design notes
   (cone of influence etc.) before fingerprinting, so two submissions
   whose *reduced* queries coincide share one execution and one cache
   entry even when their full-width originals differ.  Each attached
-  waiter lifts traces through its own reduction, so every client sees
-  witnesses over the system it actually asked about.
+  waiter lifts traces through its own reduction and checks them
+  against its own target, so every client sees witnesses over the
+  system it actually asked about — or an error, never an unchecked
+  SAT.
 * **Cancellation is cooperative and cheap.**  Cancelling a running
   job sets the worker's stop event; the solver aborts at its next
   budget checkpoint and the *same warm process* picks up the next job
@@ -39,13 +41,15 @@ import signal
 import time
 from typing import Any, Dict, Optional
 
-from ..bmc.backend import ALL_METHODS
+from ..bmc.backend import ALL_METHODS, BmcResult, BoundResult, SweepResult
 from ..models import FAMILIES, build_suite
 from ..portfolio.cache import (MemoryCache, ResultCache, cacheable,
                                cell_key)
-from ..portfolio.ipc import (budget_from_dict, decode_trace, encode_trace,
+from ..portfolio.ipc import (budget_from_dict, decode_trace, encode_outcome,
+                             encode_sweep_outcome, encode_trace,
                              make_cell_payload, strip_run_keys)
 from ..reduce import identity_reduction, reduce_for_target
+from ..sat.types import SolveResult
 from ..telemetry.metrics import current_metrics
 from ..telemetry.trace import current_tracer
 from .bridge import PoolBridge
@@ -338,51 +342,40 @@ class ServeDaemon:
         return key, payload, reduction
 
     def _sim_presolve(self, spec: Dict[str, Any],
-                      payload: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+                      reduction) -> Optional[Dict[str, Any]]:
         """The daemon's pre-solve tier: answer a submission by random
         simulation before it ever reaches the queue.
 
-        Runs on the already-reduced payload system, strictly
-        wall-bounded, SAT-only.  Returns a finished outcome dict in
-        the same shape a worker would produce (sweep submissions get
-        the sweep outcome shape), or None — the job then queues
-        normally.
+        Runs on the submission's reduced query, strictly wall-bounded,
+        SAT-only.  Returns a finished outcome dict in the same shape a
+        worker would produce (sweep submissions get the sweep outcome
+        shape), marked ``lifted`` (its trace is already over the
+        original system), or None — the job then queues normally.
         """
-        if not self.sim_tier:
-            return None
-        if spec.get("method_pinned"):
-            # The client asked for a specific engine; honour it —
-            # pinned submissions keep their method's behaviour
+        if not self.sim_tier or spec.get("method_pinned"):
+            # A pinned submission keeps its engine's behaviour
             # (per-bound streaming, proof capability) end to end.
             return None
-        from ..sat.types import SolveResult
         from ..sim import presolve
+        instance = self._instance(spec["family"])
         semantics = (spec["semantics"] if spec["kind"] == "check"
                      else "within")
-        out = presolve(payload["system"], payload["final"], spec["k"],
-                       semantics=semantics)
-        if out is None:
+        out = presolve(instance.system, instance.final, spec["k"],
+                       semantics=semantics, reduction=reduction)
+        if out is None or not out.hit:
             return None
-        assert out.trace is not None
-        outcome: Dict[str, Any] = {
-            "status": SolveResult.SAT.name,
-            "k": out.hit_k,
-            "method": "simulation",
-            "seconds": out.seconds,
-            "stats": dict(out.stats, sim_presolved=True,
-                          sim_solver_calls=0),
-            "trace": encode_trace(out.trace),
-            "proved": False,
-            "invariant": None,
-            "error": None,
-        }
+        stats = dict(out.stats, sim_presolved=True, sim_solver_calls=0)
         if spec["kind"] == "sweep":
-            outcome["kind"] = "sweep"
-            outcome["max_k"] = spec["k"]
-            outcome["per_bound"] = [{
-                "k": out.hit_k, "status": SolveResult.SAT.name,
-                "seconds": out.seconds,
-                "cumulative_seconds": out.seconds, "proved": False}]
+            hit = BoundResult(out.hit_k, SolveResult.SAT, out.trace,
+                              out.seconds, out.seconds, stats)
+            outcome = encode_sweep_outcome(SweepResult(
+                "simulation", spec["k"], [hit], out.seconds))
+            outcome["stats"].update(stats)
+        else:
+            outcome = encode_outcome(BmcResult(
+                SolveResult.SAT, out.trace, out.hit_k, "simulation",
+                out.seconds, stats))
+        outcome["lifted"] = True
         return outcome
 
     # ------------------------------------------------------------------
@@ -421,34 +414,20 @@ class ServeDaemon:
 
         cached = self.cache.get(key)
         if cached is not None:
-            job = self._new_job(key, spec, payload)
-            job.state = JobState.DONE
-            job.result = dict(cached)
-            job.finished_at = job.started_at = time.monotonic()
-            self.stats["cache_answers"] += 1
-            self.stats["completed"] += 1
-            return ok_response(
-                request_id, job=job.job_id, state="done", cached=True,
-                result=self._result_view(cached, reduction))
-
-        sim_outcome = self._sim_presolve(spec, payload)
+            return self._answered(request_id, key, spec, payload, cached,
+                                  "cache_answers", cached=True)
+        # A simulation answer is deliberately NOT cached: the key names
+        # the spec's solver method, and a later submission pinning that
+        # method must get the real engine, not a simulation result
+        # wearing its key.  Re-presolving a repeat submission costs
+        # ~1 ms and is deterministic.
+        sim_outcome = self._sim_presolve(spec, reduction)
         if sim_outcome is not None:
-            job = self._new_job(key, spec, payload)
-            job.state = JobState.DONE
-            job.result = dict(sim_outcome)
-            job.finished_at = job.started_at = time.monotonic()
-            # Deliberately NOT cached: the key names the spec's solver
-            # method, and a later submission pinning that method must
-            # get the real engine, not a simulation result wearing its
-            # key.  Re-presolving a repeat submission costs ~1 ms and
-            # is deterministic.
-            self.stats["sim_answers"] += 1
-            self.stats["completed"] += 1
-            return ok_response(
-                request_id, job=job.job_id, state="done", presolved=True,
-                result=self._result_view(sim_outcome, reduction))
+            return self._answered(request_id, key, spec, payload,
+                                  sim_outcome, "sim_answers",
+                                  presolved=True)
 
-        waiter = Waiter(client.client_id, request_id, reduction,
+        waiter = Waiter(client.client_id, request_id, spec,
                         spec["subscribe"])
         inflight = self._by_key.get(key)
         if inflight is not None and not inflight.state.terminal:
@@ -471,6 +450,19 @@ class ServeDaemon:
         current_metrics().gauge("serve.queue_depth", len(self._queue))
         return ok_response(request_id, job=job.job_id, state="queued")
 
+    def _answered(self, request_id, key: str, spec: Dict[str, Any],
+                  payload: Dict[str, Any], outcome: Dict[str, Any],
+                  counter: str, **flags: Any) -> Dict[str, Any]:
+        """Close and acknowledge a submission answered without a worker."""
+        job = self._new_job(key, spec, payload)
+        job.state = JobState.DONE
+        job.result = dict(outcome)
+        job.finished_at = job.started_at = time.monotonic()
+        self.stats[counter] += 1
+        self.stats["completed"] += 1
+        return ok_response(request_id, job=job.job_id, state="done",
+                           result=self._result_view(outcome, spec), **flags)
+
     def _new_job(self, key: str, spec: Dict[str, Any],
                  payload: Dict[str, Any]) -> Job:
         self._next_job += 1
@@ -490,9 +482,7 @@ class ServeDaemon:
             raise ProtocolError(f"unknown job {job_id!r}")
         view = job.describe()
         if job.state.terminal and job.result is not None:
-            reduction = self._reduction(job.spec["family"],
-                                        job.spec["reduce"])
-            view["result"] = self._result_view(job.result, reduction)
+            view["result"] = self._result_view(job.result, job.spec)
         self._send(client, ok_response(request_id, **view))
 
     async def _op_stats(self, client, request_id, fields) -> None:
@@ -559,18 +549,15 @@ class ServeDaemon:
         job = self._jobs.get(fields["job"])
         if job is None:
             raise ProtocolError(f"unknown job {fields['job']!r}")
-        reduction = self._reduction(job.spec["family"],
-                                    job.spec["reduce"])
         if job.state.terminal:
             view = {"state": job.state.value}
             if job.result is not None:
-                view["result"] = self._result_view(job.result,
-                                                   reduction)
+                view["result"] = self._result_view(job.result, job.spec)
             self._send(client, ok_response(request_id, job=job.job_id,
                                            **view))
             return
         job.waiters.append(Waiter(client.client_id, request_id,
-                                  reduction, True))
+                                  job.spec, True))
         client.active += 1
         self._send(client, ok_response(request_id, job=job.job_id,
                                        state=job.state.value,
@@ -651,8 +638,7 @@ class ServeDaemon:
             self._send_to(waiter.client_id, {
                 "event": "done", "job": job.job_id,
                 "state": job.state.value,
-                "result": self._result_view(sanitized,
-                                            waiter.reduction)})
+                "result": self._result_view(sanitized, waiter.spec)})
         job.waiters = []
         self._dispatch()
 
@@ -679,22 +665,30 @@ class ServeDaemon:
     # ------------------------------------------------------------------
     # Result shaping
     # ------------------------------------------------------------------
-    @staticmethod
-    def _result_view(outcome: Dict[str, Any],
-                     reduction) -> Dict[str, Any]:
+    def _result_view(self, outcome: Dict[str, Any],
+                     spec: Dict[str, Any]) -> Dict[str, Any]:
         """One waiter's JSON view of an outcome.
 
-        The stored outcome lives in the *reduced* vocabulary; the
-        trace is lifted through this waiter's own reduction so the
-        witness ranges over the full-width system the client asked
-        about.
+        A worker's outcome lives in the *reduced* vocabulary: its trace
+        is lifted through the waiter's own reduction and must replay on
+        the system the client asked about and end in its target, else
+        the view is an error, never a SAT witness.  A pre-solve answer
+        (``lifted``) was lifted and checked by the tier already.
         """
         view = strip_run_keys(outcome)
         view.pop("worker", None)
-        trace = outcome.get("trace")
-        if trace is not None and not reduction.is_identity:
-            view["trace"] = encode_trace(
-                reduction.lift(decode_trace(trace)))
+        reduction = self._reduction(spec["family"], spec["reduce"])
+        if view.pop("lifted", False) or view.get("trace") is None \
+                or reduction.is_identity:
+            return view
+        trace = reduction.lift_witness(decode_trace(view["trace"]),
+                                       self._instance(spec["family"]).final)
+        if trace is None:
+            view.update(status=SolveResult.UNKNOWN.name, trace=None,
+                        error="the lifted witness does not replay on the "
+                              "original system and reach its target")
+        else:
+            view["trace"] = encode_trace(trace)
         return view
 
     def _stats_view(self) -> Dict[str, Any]:

@@ -40,15 +40,15 @@ class JobState(enum.Enum):
 
 
 class Waiter:
-    """One client request attached to a job."""
+    """One client request attached to a job (``spec`` is its own)."""
 
-    __slots__ = ("client_id", "request_id", "reduction", "subscribe")
+    __slots__ = ("client_id", "request_id", "spec", "subscribe")
 
     def __init__(self, client_id: int, request_id: Any,
-                 reduction, subscribe: bool) -> None:
+                 spec: Dict[str, Any], subscribe: bool) -> None:
         self.client_id = client_id
         self.request_id = request_id
-        self.reduction = reduction
+        self.spec = spec
         self.subscribe = subscribe
 
 

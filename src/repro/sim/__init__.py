@@ -15,15 +15,15 @@ first tier:
   checks the witness predicate every frame, and on a hit extracts the
   single hitting lane as a concrete :class:`~repro.system.trace.Trace`;
 * :mod:`repro.sim.backend` wraps the falsifier as the ``simulation``
-  BMC backend — SAT-only (it never answers UNSAT) — and provides the
-  ``presolve`` helper the portfolio race, the batch scheduler, the
-  property checker and the serve daemon use as their pre-solve tier.
+  BMC backend — SAT-only (it never answers UNSAT) — and provides
+  ``presolve``, the one pre-solve tier every caller uses: it walks the
+  caller's reduced query and hands back a witness lifted to, and
+  replay-checked on, the original system and target.
 
-The bounded witness semantics honoured here are the same Biere et al.
-translation used by :mod:`repro.spec.ltl`: a simulation witness for a
-reachability query at bound k is a loop-free path whose last state
-satisfies the target — exactly the trace shape every solver backend
-returns, validated by the same :meth:`Trace.validate` replay.
+A simulation witness for a reachability query at bound k is a
+loop-free path whose last state satisfies the target — the trace
+shape every solver backend returns (the Biere et al. bounded
+semantics of :mod:`repro.spec.ltl`).
 """
 
 from .backend import SimulationBackend, SimulationOptions, presolve

@@ -1,4 +1,4 @@
-"""The ``simulation`` backend and the shared pre-solve helper.
+"""The ``simulation`` backend and the one pre-solve tier.
 
 :class:`SimulationBackend` exposes random bit-parallel simulation
 through the standard :class:`~repro.bmc.backend.Backend` protocol so
@@ -9,18 +9,18 @@ or UNKNOWN, never UNSAT, so it cannot prove safety and its ``sweep``
 overrides the default ladder (which would stop at the very first
 UNKNOWN bound) with one deep within-k walk.
 
-:func:`presolve` is the cheap front door the portfolio race, the
-batch scheduler, the property checker and the serve daemon call
-before spinning up any solver: a strictly bounded falsification
-attempt that either hands back a finished SAT outcome in milliseconds
-or gets out of the way.
+:func:`presolve` is the cheap front door every caller (``repro bmc``,
+the property checker, the race, the batch scheduler, the serve
+daemon) goes through before spinning up any solver: a strictly
+bounded falsification attempt whose hit is already a checked
+certificate for the caller's original query, or gets out of the way.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..bmc.backend import (Backend, BackendOptions, BmcResult, SweepResult,
                            emit_bound, register_backend)
@@ -30,7 +30,10 @@ from ..system.model import TransitionSystem
 from ..telemetry.metrics import current_metrics
 from ..telemetry.trace import current_tracer
 from .engine import CompiledNet, SimCompileError
-from .falsify import SimOutcome, falsify
+from .falsify import _TARGET, SimOutcome, falsify
+
+if TYPE_CHECKING:   # reduce imports spec, which imports sim via bmc
+    from ..reduce import ReducedSystem
 
 __all__ = ["SimulationOptions", "SimulationBackend", "presolve",
            "PRESOLVE_SECONDS"]
@@ -38,8 +41,6 @@ __all__ = ["SimulationOptions", "SimulationBackend", "presolve",
 #: Wall-clock ceiling for one pre-solve attempt — the tier must stay
 #: invisible next to worker spawn (~150 ms) and solver start-up costs.
 PRESOLVE_SECONDS = 0.25
-
-_TARGET = "target"
 
 
 def _compile_query(system: TransitionSystem,
@@ -106,10 +107,8 @@ class SimulationBackend(Backend):
                       seed=opts.seed, budget=budget, net=self._net)
         if not out.hit:
             return self._miss(k, out)
-        stats = dict(out.stats)
-        stats["sim_solver_calls"] = 0
-        assert out.trace is not None and out.hit_k is not None
-        return self.result(SolveResult.SAT, out.trace, out.hit_k, stats)
+        return self.result(SolveResult.SAT, out.trace, out.hit_k,
+                           dict(out.stats, sim_solver_calls=0))
 
     # ------------------------------------------------------------------
     def sweep(self, max_k: int, budget: Budget | None = None,
@@ -146,33 +145,48 @@ def presolve(system: TransitionSystem, final: Expr, k: int, *,
              restarts: int = 3,
              max_seconds: float = PRESOLVE_SECONDS,
              seed: Optional[int] = None,
-             stop_check: Optional[Callable[[], bool]] = None
+             stop_check: Optional[Callable[[], bool]] = None,
+             reduction: Optional["ReducedSystem"] = None
              ) -> Optional[SimOutcome]:
     """One strictly bounded falsification attempt, or None.
 
-    Returns a hit :class:`SimOutcome` (``trace`` set, replayable on
-    ``system``) when random simulation stumbles on a witness inside
-    the wall allowance, and None on a miss, an uncompilable system,
-    or a non-state target — the caller then proceeds to the solver
-    tiers exactly as if this function did not exist.
+    With ``reduction`` (the caller's :class:`ReducedSystem` of
+    ``system``) the walk runs on the reduced query.  A hit comes back
+    lifted (:meth:`ReducedSystem.lift_witness`, shortened under
+    ``within``) with a ``trace`` that replays on ``system`` and ends in
+    ``final``, or ``rejected`` with no trace.  None means a miss, an
+    uncompilable system, or a non-state target — the caller then
+    proceeds to the solver tiers as if this function did not exist.
     """
+    if reduction is None:
+        from ..reduce import identity_reduction
+        reduction = identity_reduction(system)
+    sim_final = reduction.map_expr(final)
     metrics = current_metrics()
     with current_tracer().span("sim.presolve", system=system.name, k=k,
                                semantics=semantics) as span:
         try:
-            net = _compile_query(system, final)
+            net = _compile_query(reduction.system, sim_final)
         except SimCompileError:
             metrics.inc("sim.presolve.unsupported")
             span.set(outcome="unsupported")
             return None
-        out = falsify(system, final, k, semantics=semantics, width=width,
-                      restarts=restarts, seed=seed,
+        out = falsify(reduction.system, sim_final, k, semantics=semantics,
+                      width=width, restarts=restarts, seed=seed,
                       budget=Budget(max_seconds=max_seconds),
                       stop_check=stop_check, net=net)
-        if out.hit:
-            metrics.inc("sim.presolve.hits")
-            span.set(outcome="hit", hit_k=out.hit_k)
+        if not out.hit:
+            metrics.inc("sim.presolve.misses")
+            span.set(outcome="stopped" if out.stopped else "miss")
+            return None
+        out.trace = reduction.lift_witness(out.trace, final,
+                                           shorten=semantics == "within")
+        if out.trace is None:
+            out.rejected = True
+            metrics.inc("sim.presolve.invalid")
+            span.set(outcome="invalid", hit_k=out.hit_k)
             return out
-        metrics.inc("sim.presolve.misses")
-        span.set(outcome="stopped" if out.stopped else "miss")
-        return None
+        out.hit_k = out.trace.length
+        metrics.inc("sim.presolve.hits")
+        span.set(outcome="hit", hit_k=out.hit_k)
+        return out

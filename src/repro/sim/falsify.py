@@ -57,7 +57,8 @@ class SimOutcome:
     hit.  ``frames`` counts simulation frames executed (restarts
     included), ``lanes`` the total lanes launched across restarts —
     the effective number of random traces explored is bounded by
-    ``lanes``.
+    ``lanes``.  ``rejected`` marks a hit whose lifted witness
+    :func:`repro.sim.presolve` dropped.
     """
     trace: Optional[Trace] = None
     hit_k: Optional[int] = None
@@ -67,6 +68,7 @@ class SimOutcome:
     ops: int = 0
     seconds: float = 0.0
     stopped: bool = False
+    rejected: bool = False
     stats: Dict[str, int] = field(default_factory=dict)
 
     @property

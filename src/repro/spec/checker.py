@@ -215,7 +215,7 @@ class PropertyChecker:
 
     ``sim_tier`` (default on) tries the bit-parallel random-simulation
     falsifier (:func:`repro.sim.presolve`) on each reachability-style
-    query before touching the shared unrolling: a validated simulation
+    query before touching the shared unrolling: a checked simulation
     witness answers the property without a single solver call.  The
     tier is SAT-only and strictly wall-bounded — turning it off
     changes timing, never verdicts.  General bounded-LTL properties
@@ -226,8 +226,9 @@ class PropertyChecker:
     search formula must hold on the witness under the bounded path
     semantics (:func:`repro.spec.eval.holds_on_path`) over the cone it
     was found in — including the lasso back-edge when the witness
-    closes a loop — and the lifted full-width path must replay against
-    the *original* transition system.
+    closes a loop.  A witness lifted from a reduced cone must always
+    replay against the *original* transition system and reach the
+    original target (else :class:`TraceError`).
     """
 
     def __init__(self, system: TransitionSystem,
@@ -546,15 +547,19 @@ class PropertyChecker:
                 # hold over the cone the witness was found in ...
                 self._validate_witness(name, formula, trace, loop_inputs,
                                        system)
-            trace = reduction.lift(trace)
             target = reachability_target(prop)
-            if target is not None:
-                trace = trace.shorten_to(target)
-            if self.validate and not reduction.is_identity:
+            if not reduction.is_identity:
                 # ... and the lifted full-width path must replay
                 # against the original transition system and still
                 # reach the original target.
-                trace.validate(self.system, target)
+                trace = reduction.lift_witness(trace, target,
+                                               shorten=target is not None)
+                if trace is None:
+                    raise TraceError(
+                        f"lifted witness for property {name!r} does not "
+                        f"replay on the original system to its target")
+            elif target is not None:
+                trace = trace.shorten_to(target)
         unrolling.retire(group)
         solver = unrolling.solver
         stats = {
@@ -607,30 +612,22 @@ class PropertyChecker:
         semantics (the bounded search formula accepts a witness at any
         depth ≤ k, so a shallower simulation hit answers the same
         query).  Returns a conclusive SAT :class:`PropertyResult`, or
-        None when the solver must run — the tier can never conclude
-        UNSAT, so a miss is silent.
+        None when the solver must run (a miss or a rejected witness).
         """
-        target = reachability_target(mapped)
+        target = reachability_target(prop)
         if target is None:
             return None
         from ..sim import presolve
-        sim_out = presolve(cone.system, target, k, semantics="within")
-        if sim_out is None:
+        sim_out = presolve(self.system, target, k, semantics="within",
+                           reduction=cone.reduction)
+        if sim_out is None or not sim_out.hit:
             return None
-        trace = sim_out.trace
-        assert trace is not None
-        trace = cone.reduction.lift(trace)
-        original_target = reachability_target(prop)
-        if original_target is not None:
-            trace = trace.shorten_to(original_target)
-        if self.validate:
-            trace.validate(self.system, original_target)
         _, universal = search_plan(mapped)
         verdict = Verdict.VIOLATED if universal else Verdict.HOLDS
         stats = dict(sim_out.stats, sim_presolved=True)
         seconds = time.perf_counter() - start
         return PropertyResult(name, prop, verdict, True, SolveResult.SAT,
-                              k, trace, seconds, stats)
+                              k, sim_out.trace, seconds, stats)
 
     def _validate_witness(self, name: str, formula: Property,
                           trace: Trace,

@@ -1,4 +1,5 @@
-"""Shared fixtures: the reference-solver leg of the differential tests.
+"""Shared fixtures: the reference-solver leg of the differential tests,
+and a serve daemon running in a thread.
 
 Production code builds every CDCL solver through
 :func:`repro.sat.kernel.make_solver`, which always returns the kernel.
@@ -8,12 +9,17 @@ in for every ``make_solver`` binding of the loaded ``repro`` modules.
 """
 
 import contextlib
+import os
 import sys
+import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.sat.kernel import make_solver
 from repro.sat.solver import CdclSolver
+from repro.serve import ServeClient, ServeDaemon
 
 
 @contextlib.contextmanager
@@ -49,3 +55,36 @@ def reference_leg():
     """The :func:`reference_solver` context manager (session-scoped, so
     hypothesis tests can use it)."""
     return reference_solver
+
+
+@pytest.fixture
+def serve_daemon(tmp_path):
+    """Factory: ``serve_daemon(**kwargs)`` starts a
+    :class:`ServeDaemon` on a unix socket in a thread and returns a
+    handle (``socket``, ``daemon``, ``thread``); every daemon it started
+    is shut down at teardown."""
+    handles = []
+
+    def start(**kwargs):
+        sock = str(tmp_path / f"repro{len(handles)}.sock")
+        daemon = ServeDaemon(socket_path=sock, **kwargs)
+        thread = threading.Thread(target=daemon.run, daemon=True)
+        thread.start()
+        deadline = time.time() + 10
+        while not os.path.exists(sock):
+            assert time.time() < deadline, "daemon never bound its socket"
+            time.sleep(0.02)
+        handles.append(SimpleNamespace(socket=sock, daemon=daemon,
+                                       thread=thread))
+        return handles[-1]
+
+    yield start
+    for handle in handles:
+        if handle.thread.is_alive():
+            try:
+                with ServeClient(socket_path=handle.socket) as client:
+                    client.shutdown()
+            except Exception:
+                pass
+        handle.thread.join(timeout=20)
+        assert not handle.thread.is_alive(), "daemon failed to shut down"

@@ -26,10 +26,11 @@ import sys
 import textwrap
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.bmc.incremental import IncrementalBmc
 from repro.logic.cnf import CNF
+from repro.sat import ckernel as _ckernel
 from repro.sat.ckernel import CORE_ENV, compiled_available
 from repro.sat.dpll import brute_force_sat
 from repro.sat.kernel import KernelSolver
@@ -111,11 +112,18 @@ class TestRandomCnf:
                 _assert_model_satisfies(cnf, solver.model(), (seed, engine))
 
     @given(st.integers(0, 100_000))
+    @example(10017)     # the builds learn different level-0 units here
     @settings(max_examples=40, **COMMON)
     def test_incremental_rounds_with_assumptions(self, seed):
         """Interleaved add/solve rounds under assumptions stay in
         lock-step: same verdict each round, failed-assumption cores are
-        themselves unsatisfiable together with the clauses."""
+        themselves unsatisfiable together with the clauses.
+
+        ``add_clause`` is one-sided — False means refuted, True
+        promises nothing — so each solver's ``ok`` is checked against
+        the clauses, not against the other solver: which units a
+        search learnt decides whether a conflict shows at the add or
+        only at the next solve."""
         rng = random.Random(seed)
         num_vars = rng.randint(4, 10)
         reference = CdclSolver()
@@ -128,7 +136,13 @@ class TestRandomCnf:
             ok_ref = all([reference.add_clause(c) for c in batch])
             ok_ker = all([kernel.add_clause(c) for c in batch])
             added.extend(batch)
-            assert reference.ok == kernel.ok, seed
+            for solver in (reference, kernel):
+                if not solver.ok:
+                    refuted = CNF(num_vars)
+                    for clause in added:
+                        refuted.add_clause(clause)
+                    assert brute_force_sat(refuted)[0] \
+                        is SolveResult.UNSAT, (seed, type(solver))
             assumptions = [rng.choice([1, -1]) * rng.randint(1, num_vars)
                            for _ in range(rng.randint(0, 3))]
             status_ref = reference.solve(assumptions)
@@ -377,13 +391,20 @@ _CHILD = textwrap.dedent("""
 """)
 
 
+def _child_env(**overrides):
+    """The environment of a child process that imports this checkout's
+    ``repro``."""
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return env
+
+
 def _run_child(backend, call):
     """Run ``call`` on a fresh KernelSolver ``s`` in a child process
     whose address space is capped at 1 GiB."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(__file__), "..", "src")]
-        + [p for p in [env.get("PYTHONPATH")] if p])
+    env = _child_env()
     if backend == "interpreted":
         env[CORE_ENV] = "off"
     else:
@@ -411,3 +432,47 @@ class TestOutOfRangeInput:
         child = _run_child(backend, call)
         assert child.returncode == 0, (child.returncode, child.stderr)
         assert child.stdout.split() == [error, "SAT"], child.stdout
+
+
+# ----------------------------------------------------------------------
+# Building the compiled core: cache key and reported fallback
+# ----------------------------------------------------------------------
+_FALLBACK_CHILD = textwrap.dedent("""
+    from repro.sat.kernel import KernelSolver
+    from repro.telemetry import MetricsRegistry, Tracer, set_metrics, set_tracer
+    tracer, registry = Tracer(), MetricsRegistry()
+    set_tracer(tracer)
+    set_metrics(registry)
+    for _ in range(2):
+        solver = KernelSolver()
+        solver.add_clause([1])
+        solver.solve()
+    print(solver.backend,
+          registry.snapshot()["counters"]["sat.core_fallbacks"],
+          *[e["args"]["core"] for e in tracer.events()
+            if e["name"] == "sat.solve"])
+""")
+
+
+class TestCoreBuild:
+    def test_cache_key_covers_the_compiler(self, monkeypatch):
+        monkeypatch.delenv("CC", raising=False)
+        default = _ckernel._cache_path(b"int x;")
+        monkeypatch.setenv("CC", "clang")
+        assert _ckernel._cache_path(b"int x;") != default
+
+    def test_missing_compiler_warns_once_and_counts(self, tmp_path):
+        """No compiler on PATH and an empty cache: one warning naming
+        the cause, every fallback solver counted, spans say which core
+        ran."""
+        env = _child_env(PATH=str(tmp_path), XDG_CACHE_HOME=str(tmp_path))
+        env.pop("CC", None)
+        env.pop(CORE_ENV, None)
+        child = subprocess.run([sys.executable, "-c", _FALLBACK_CHILD],
+                               env=env, capture_output=True, text=True,
+                               timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == ["interpreted", "2",
+                                        "interpreted", "interpreted"]
+        assert child.stderr.count("compiled SAT core unavailable") == 1
+        assert "no C compiler found" in child.stderr

@@ -17,6 +17,7 @@ from repro.harness.runner import run_matrix, run_property_matrix
 from repro.logic import expr as ex
 from repro.logic.program import Program
 from repro.models import build_property_suite, build_suite, counter
+from repro.models.suite import Instance
 from repro.portfolio.race import race
 from repro.reduce import (ConeOfInfluence, ConstantLatches, DuplicateLatches,
                           FunctionalView, InputPruning, Pipeline,
@@ -24,6 +25,8 @@ from repro.reduce import (ConeOfInfluence, ConstantLatches, DuplicateLatches,
                           default_pipeline, identity_reduction,
                           reduce_for_target, reduce_system, resolve_reduce)
 from repro.sat.types import SolveResult
+from repro.serve import ServeClient
+from repro.sim import presolve
 from repro.spec import Invariant, PropertyChecker, Reachable
 from repro.spec.property import Atom, Finally, Globally, Until
 from repro.system.circuit import Circuit
@@ -594,6 +597,16 @@ class TestLiftedWitnessTarget:
         with pytest.raises(TraceError, match="target"):
             checker.check_all(2)
 
+    def test_checker_raises_without_validation(self, lossy_lift):
+        """``validate=False`` skips the debug replays on the cone, not
+        the check of the lifted witness against the original target."""
+        system, _, _ = counter.make(4)
+        checker = PropertyChecker(system, {"p": Reachable(ex.var("c1"))},
+                                  reduce="auto", validate=False,
+                                  sim_tier=False)
+        with pytest.raises(TraceError, match="target"):
+            checker.check_all(2)
+
     def test_race_rejects(self, lossy_lift):
         system, _, _ = counter.make(4)
         outcome = race(system, ex.var("c1"), 2, methods=("sat-unroll",),
@@ -601,6 +614,45 @@ class TestLiftedWitnessTarget:
         assert outcome.result.status is SolveResult.UNKNOWN
         assert outcome.method_outcomes["sat-unroll"] == "invalid-witness"
         assert outcome.method_outcomes["simulation"] == "invalid-witness"
+
+    def test_presolve_rejects(self, lossy_lift):
+        system, _, _ = counter.make(4)
+        target = ex.var("c1")
+        out = presolve(system, target, 2, semantics="within",
+                       reduction=reduce_for_target(system, target))
+        assert out is not None and out.rejected
+        assert out.trace is None and not out.hit
+
+    def test_batch_rejects(self, lossy_lift):
+        system, _, _ = counter.make(4)
+        instance = Instance("counter4-c1-k2", "counter", system,
+                            ex.var("c1"), 2, True)
+        cells = run_matrix([instance], ["sat-unroll"], sim_tier=True,
+                           reduce="auto")
+        assert [cell.status for cell in cells] == [SolveResult.UNKNOWN]
+        assert cells[0].worker != "sim"
+
+    # arbiter's target is reachable at k=3, and reduce="auto" drops
+    # two of its six latches.
+    FAMILY, K = "arbiter", 3
+
+    def _served_result(self, serve_daemon, **submit):
+        handle = serve_daemon(jobs=1)
+        with ServeClient(socket_path=handle.socket) as client:
+            ack = client.submit(self.FAMILY, self.K, **submit)
+            assert "presolved" not in ack
+            return client.wait(ack)["result"]
+
+    def test_daemon_sim_rejects(self, lossy_lift, serve_daemon):
+        result = self._served_result(serve_daemon)
+        assert result["status"] == "UNKNOWN" and result["trace"] is None
+        assert "target" in result["error"]
+
+    def test_daemon_worker_result_rejects(self, lossy_lift, serve_daemon):
+        result = self._served_result(serve_daemon, method="jsat")
+        assert result["method"] == "jsat"
+        assert result["status"] == "UNKNOWN" and result["trace"] is None
+        assert "target" in result["error"]
 
 
 # Keep ruff happy about the intentionally unused transform imports —

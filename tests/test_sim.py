@@ -11,10 +11,10 @@ replaying on the original system.
 
 from __future__ import annotations
 
+import os
 import random
-import threading
-import time
-from types import SimpleNamespace
+import subprocess
+import sys
 
 import pytest
 
@@ -26,9 +26,10 @@ from repro.models import counter as counter_model
 from repro.models import shift_register
 from repro.portfolio import race
 from repro.portfolio.scheduler import BatchScheduler
+from repro.reduce import reduce_for_target
 from repro.reduce.structure import FunctionalView
 from repro.sat.types import Budget, SolveResult
-from repro.serve import ServeClient, ServeDaemon
+from repro.serve import ServeClient
 from repro.sim import (CompiledNet, SimCompileError, SimulationBackend,
                        falsify, presolve)
 from repro.sim.engine import lane_bit
@@ -237,6 +238,35 @@ class TestPresolve:
         assert presolve(system, final, depth,
                         stop_check=lambda: True) is None
 
+    def test_reduction_hit_is_lifted_shortened_and_checked(self):
+        """With ``reduction=``, the walk runs on the cone and the hit
+        comes back as a certificate for the original query."""
+        system, _, _ = counter_model.make(4)
+        target = var("c1")
+        reduction = reduce_for_target(system, target)
+        assert reduction.kept_latches == ["c0", "c1"]
+        out = presolve(system, target, 6, semantics="within",
+                       reduction=reduction)
+        assert out is not None and out.hit and not out.rejected
+        trace = out.trace
+        assert out.hit_k == trace.length
+        assert all(set(s) == set(system.state_vars) for s in trace.states)
+        assert trace.is_valid(system, target)
+        assert not any(target.evaluate(s) for s in trace.states[:-1])
+
+    @pytest.mark.parametrize("module", ["repro.reduce", "repro.sim",
+                                        "repro.spec"])
+    def test_importable_first(self, module):
+        """presolve takes a reduction, and reduce -> spec -> bmc -> sim
+        import each other: each must load first in a fresh process."""
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        child = subprocess.run([sys.executable, "-c", f"import {module}"],
+                               env=env, capture_output=True, text=True,
+                               timeout=120)
+        assert child.returncode == 0, child.stderr
+
     def test_suite_witnesses_replay_on_original_systems(self):
         """Differential over the suite: every simulation witness must
         be a real counterexample of the original system at the exact
@@ -335,35 +365,9 @@ class TestCheckerSimTier:
 # ----------------------------------------------------------------------
 # Serve daemon pre-solve tier
 # ----------------------------------------------------------------------
-def _start_daemon(tmp_path, **kwargs):
-    sock = str(tmp_path / "repro.sock")
-    daemon = ServeDaemon(socket_path=sock, **kwargs)
-    thread = threading.Thread(target=daemon.run, daemon=True)
-    thread.start()
-    deadline = time.time() + 10
-    import os
-    while not os.path.exists(sock):
-        assert time.time() < deadline, "daemon never bound its socket"
-        time.sleep(0.02)
-    return SimpleNamespace(socket=sock, daemon=daemon, thread=thread)
-
-
-def _stop_daemon(handle):
-    if handle.thread.is_alive():
-        try:
-            with ServeClient(socket_path=handle.socket) as c:
-                c.shutdown()
-        except Exception:
-            pass
-    handle.thread.join(timeout=20)
-    assert not handle.thread.is_alive()
-
-
 @pytest.fixture
-def served(tmp_path):
-    handle = _start_daemon(tmp_path, jobs=1)      # sim tier default ON
-    yield handle
-    _stop_daemon(handle)
+def served(serve_daemon):
+    return serve_daemon(jobs=1)                 # sim tier default ON
 
 
 class TestServeSimTier:
