@@ -4,11 +4,12 @@ Not a paper artifact — these keep the CDCL/QDPLL substrates honest
 (throughput regressions would silently distort E1/E4/E5 comparisons).
 """
 
+import os
 import random
 
 from repro.logic.cnf import CNF
 from repro.qbf import PCNF, QdpllSolver
-from repro.sat import CdclSolver, SolveResult
+from repro.sat import SolveResult, make_solver
 
 
 def _random_3sat(n, ratio, seed):
@@ -24,7 +25,7 @@ def bench_cdcl_random_3sat_sat_region(benchmark):
     cnf = _random_3sat(120, 3.5, seed=11)
 
     def run():
-        solver = CdclSolver()
+        solver = make_solver()
         solver.add_clauses(cnf.clauses)
         return solver.solve()
 
@@ -36,7 +37,7 @@ def bench_cdcl_random_3sat_phase_transition(benchmark):
     cnf = _random_3sat(60, 4.26, seed=7)
 
     def run():
-        solver = CdclSolver()
+        solver = make_solver()
         solver.add_clauses(cnf.clauses)
         return solver.solve()
 
@@ -46,7 +47,7 @@ def bench_cdcl_random_3sat_phase_transition(benchmark):
 
 def bench_cdcl_pigeonhole(benchmark):
     def run():
-        solver = CdclSolver()
+        solver = make_solver()
         holes = 5
         def var(i, j):
             return i * holes + j + 1
@@ -63,7 +64,7 @@ def bench_cdcl_pigeonhole(benchmark):
 
 def bench_cdcl_incremental_assumptions(benchmark):
     cnf = _random_3sat(80, 3.0, seed=3)
-    solver = CdclSolver()
+    solver = make_solver()
     solver.add_clauses(cnf.clauses)
     rng = random.Random(5)
 
@@ -92,9 +93,24 @@ def _pigeonhole_clauses(holes=5):
     return clauses
 
 
-def bench_kernel_vs_reference_speedup(benchmark):
-    """Perf guard: the kernel engine must aggregate >= 5x over the
-    reference across the CDCL micro workloads above.
+def _interpreted():
+    """A proof-free solver on the interpreted build."""
+    from repro.sat.ckernel import CORE_ENV
+    previous = os.environ.get(CORE_ENV)
+    os.environ[CORE_ENV] = "off"
+    try:
+        return make_solver()
+    finally:
+        if previous is None:
+            del os.environ[CORE_ENV]
+        else:
+            os.environ[CORE_ENV] = previous
+
+
+def bench_compiled_vs_interpreted_speedup(benchmark):
+    """Perf guard: the compiled kernel build must aggregate >= 6x over
+    the interpreted build across the CDCL micro workloads above; fails
+    when no compiled core loads.
 
     Records per-workload wall seconds and speedups via
     :func:`_emit.record` so the ``--json`` artifact carries the full
@@ -102,9 +118,12 @@ def bench_kernel_vs_reference_speedup(benchmark):
     """
     import time as _time
 
-    from repro.sat.kernel import KernelSolver
+    from repro.sat.ckernel import compiled_available, fallback_reason
 
-    engines = {"reference": CdclSolver, "kernel": KernelSolver}
+    assert compiled_available(), (
+        f"no compiled SAT core to guard "
+        f"({fallback_reason() or 'disabled by REPRO_SAT_CC'})")
+    builds = {"interpreted": _interpreted, "compiled": make_solver}
 
     workloads = {
         "random_3sat": _random_3sat(120, 3.5, seed=11).clauses,
@@ -112,16 +131,17 @@ def bench_kernel_vs_reference_speedup(benchmark):
         "pigeonhole_6": _pigeonhole_clauses(6),
     }
 
-    def one_shot(engine, clauses):
-        solver = engines[engine]()
+    def one_shot(build, clauses):
+        solver = builds[build]()
+        assert solver.backend == build
         solver.add_clauses(clauses)
         status = solver.solve()
         assert status is not SolveResult.UNKNOWN
         return status
 
-    def incremental(engine):
+    def incremental(build):
         cnf = _random_3sat(80, 3.0, seed=3)
-        solver = engines[engine]()
+        solver = builds[build]()
         solver.add_clauses(cnf.clauses)
         rng = random.Random(5)
         for _ in range(10):
@@ -133,44 +153,45 @@ def bench_kernel_vs_reference_speedup(benchmark):
         table = {}
         for name, clauses in workloads.items():
             times = {}
-            for engine in ("reference", "kernel"):
-                verdicts = {one_shot(engine, clauses)}   # warm-up
+            verdicts = set()
+            for build in builds:
+                verdicts.add(one_shot(build, clauses))   # warm-up
                 start = _time.perf_counter()
-                verdicts.add(one_shot(engine, clauses))
-                times[engine] = _time.perf_counter() - start
-                assert len(verdicts) == 1
+                verdicts.add(one_shot(build, clauses))
+                times[build] = _time.perf_counter() - start
+            assert len(verdicts) == 1, (name, verdicts)
             table[name] = times
         times = {}
-        for engine in ("reference", "kernel"):
+        for build in builds:
             start = _time.perf_counter()
-            incremental(engine)
-            times[engine] = _time.perf_counter() - start
+            incremental(build)
+            times[build] = _time.perf_counter() - start
         table["incremental_assumptions"] = times
         return table
 
     table = benchmark(measure)
-    ref_total = sum(t["reference"] for t in table.values())
-    kernel_total = sum(t["kernel"] for t in table.values())
-    aggregate = ref_total / max(kernel_total, 1e-9)
+    interpreted_total = sum(t["interpreted"] for t in table.values())
+    compiled_total = sum(t["compiled"] for t in table.values())
+    aggregate = interpreted_total / max(compiled_total, 1e-9)
     _emit_payload = {
-        f"{name}_{engine}_s": round(seconds, 6)
+        f"{name}_{build}_s": round(seconds, 6)
         for name, times in table.items()
-        for engine, seconds in times.items()
+        for build, seconds in times.items()
     }
     _emit_payload.update({
         f"{name}_speedup": round(
-            times["reference"] / max(times["kernel"], 1e-9), 2)
+            times["interpreted"] / max(times["compiled"], 1e-9), 2)
         for name, times in table.items()
     })
     try:
         import _emit
         _emit.record(aggregate_speedup=round(aggregate, 2),
-                     guard_min_speedup=5.0, **_emit_payload)
+                     guard_min_speedup=6.0, **_emit_payload)
     except ImportError:      # pytest run without benchmarks/ on path
         pass
-    assert aggregate >= 5.0, (
-        f"kernel engine only {aggregate:.2f}x over reference "
-        f"(guard: >=5x aggregate)")
+    assert aggregate >= 6.0, (
+        f"compiled kernel only {aggregate:.2f}x over interpreted "
+        f"(guard: >=6x aggregate)")
 
 
 def bench_qdpll_small_2qbf(benchmark):

@@ -13,7 +13,7 @@ throwing away the whole clause database — k shared transition frames
   bites while ``g_k`` is assumed, and once the bound is passed the
   group is permanently retired with ``add_clause([-g_k])`` — exactly
   the retractable-constraint idiom jSAT uses (see
-  :mod:`repro.sat.solver`), after which ``purge_satisfied`` physically
+  :mod:`repro.sat.kernel`), after which ``purge_satisfied`` physically
   reclaims the constraint and every learnt clause derived from it;
 * learnt clauses not derived from a retired final constraint are
   resolvents of the carried-over frames and therefore stay valid for

@@ -352,7 +352,7 @@ class UnrolledEncoding:
         """Rebuild the witness path from a satisfying assignment.
 
         ``model_value`` is a callable mapping a CNF variable to
-        bool/None (e.g. ``CdclSolver.model_value``); unassigned
+        bool/None (e.g. ``KernelSolver.model_value``); unassigned
         variables default to False.
         """
         return read_trace(self.system, self.pool, model_value, self.k)

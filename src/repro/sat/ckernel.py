@@ -10,13 +10,15 @@ which and returns None, and the kernel engine falls back to its
 pure-Python array implementation — same results, just slower.
 
 Set ``REPRO_SAT_CC=off`` to force the fallback (used by the
-differential tests to pin both implementations against the reference
-solver).
+differential tests to pin the two builds against each other).  A
+successful build deletes the shared objects built under older keys
+in the same cache directory.
 """
 
 from __future__ import annotations
 
 import ctypes
+import glob
 import hashlib
 import logging
 import os
@@ -85,6 +87,7 @@ def _compile(source_path: str, out_path: str) -> Optional[str]:
             continue
         if proc.returncode == 0:
             os.replace(tmp_out, out_path)
+            _prune(out_path)
             return None
         reason = f"build failed: {cc}: " \
             + proc.stderr.decode(errors="replace").split("\n")[0]
@@ -93,6 +96,18 @@ def _compile(source_path: str, out_path: str) -> Optional[str]:
     except OSError:
         pass
     return reason
+
+
+def _prune(keep: str) -> None:
+    """Delete the cores built under other keys next to ``keep`` (a
+    mapped shared object survives being unlinked)."""
+    pattern = os.path.join(os.path.dirname(keep), "repro_ckernel_*.so")
+    for path in glob.glob(pattern):
+        if path != keep:
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:

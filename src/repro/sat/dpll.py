@@ -1,7 +1,7 @@
 """A plain DPLL solver (no learning) and a brute-force enumerator.
 
-These are reference implementations: slow but simple enough to serve as
-test oracles for the CDCL solver, and as the pedagogical baseline for
+These are ground-truth implementations: slow but simple enough to serve
+as test oracles for the CDCL kernel, and as the pedagogical baseline for
 the jSAT narrative (the paper describes jSAT as a DPLL-style procedure).
 """
 
@@ -19,7 +19,7 @@ class DpllSolver:
     """Recursive DPLL with unit propagation and pure-literal elimination.
 
     Intended for small formulae (tests, oracles); use
-    :class:`repro.sat.solver.CdclSolver` for anything serious.
+    :func:`repro.sat.kernel.make_solver` for anything serious.
     """
 
     def __init__(self, cnf: CNF) -> None:

@@ -1,8 +1,7 @@
-"""Array-based CDCL kernel: the fast engine behind ``make_solver``.
+"""Array-based CDCL kernel: the one SAT engine, built by ``make_solver``.
 
-:class:`KernelSolver` re-implements the public surface of the pure
-reference solver (:class:`repro.sat.solver.CdclSolver`) on a flat,
-DIMACS-oriented clause database instead of per-clause Python objects:
+:class:`KernelSolver` keeps its clause database flat and
+DIMACS-oriented instead of in per-clause Python objects:
 
 * **clause arena** — every non-binary clause lives in one flat int
   list (``[proof_id, lbd, flags, size, lit0, lit1, ...]``); a clause
@@ -27,12 +26,12 @@ DIMACS-oriented clause database instead of per-clause Python objects:
 
 :func:`make_solver` builds every production solver on this kernel,
 compiled (``ckernel.c``) or interpreted (``REPRO_SAT_CC=off``, or any
-solver with a proof sink).  Semantics are pinned to the reference
-implementation by the differential suite in
-``tests/test_kernel_differential.py`` — both must return identical
-verdicts on every workload, and the kernel logs the same
-resolution/DRAT proof steps the reference does, so UNSAT cores, Craig
-interpolation and proof checking work unchanged.
+solver with a proof sink).  The interpreted build logs resolution and
+DRAT proof steps, which drive UNSAT cores, Craig interpolation and
+proof checking.  ``tests/test_kernel_differential.py`` pins the two
+builds to each other in lock-step, checks every SAT model against its
+formula and every interpreted UNSAT answer with a DRAT check, and
+cross-checks verdicts against DPLL and brute-force enumeration.
 """
 
 from __future__ import annotations
@@ -47,11 +46,10 @@ from ..telemetry.metrics import current_metrics
 from ..telemetry.trace import current_tracer
 from . import ckernel as _ckernel
 from .proof import ResolutionProof
-from .solver import SolverStats
 from .types import (Budget, BudgetExceeded, SolveResult, from_internal,
                     stop_check_installed, stop_requested, to_internal)
 
-__all__ = ["KernelSolver", "make_solver"]
+__all__ = ["KernelSolver", "SolverStats", "make_solver"]
 
 #: Largest variable index either build accepts: the compiled core keeps
 #: internal literals (2v, 2v + 1) in int32 slots.
@@ -88,8 +86,35 @@ def _bkey(a: int, b: int) -> int:
     return (a << 32) | b if a < b else (b << 32) | a
 
 
+class SolverStats:
+    """Counters exposed for the experiments (see bench_e6_memory)."""
+
+    __slots__ = ("conflicts", "decisions", "propagations", "restarts",
+                 "learned", "deleted", "purged", "db_literals",
+                 "peak_db_literals", "solve_calls", "minimized_literals")
+
+    def __init__(self) -> None:
+        self.conflicts = 0
+        self.decisions = 0
+        self.propagations = 0
+        self.restarts = 0
+        self.learned = 0
+        self.deleted = 0
+        self.purged = 0
+        self.db_literals = 0
+        self.peak_db_literals = 0
+        self.solve_calls = 0
+        self.minimized_literals = 0
+
+    def as_dict(self) -> Dict[str, int]:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"SolverStats({self.as_dict()})"
+
+
 class KernelSolver:
-    """Array-based CDCL solver (drop-in for :class:`CdclSolver`).
+    """Array-based CDCL solver.
 
     Example
     -------
@@ -104,7 +129,6 @@ class KernelSolver:
     True
     """
 
-    engine = "kernel"
     backend = "interpreted"
 
     def __new__(cls, proof: ResolutionProof | None = None):
@@ -113,8 +137,8 @@ class KernelSolver:
         Proof-free solves go to the C core (when a compiler was
         available); proof-logged solves and no-compiler environments
         use the pure-Python array path below.  Both are the same
-        engine — the differential suite pins them to each other and
-        to the reference solver.  A failed core build or load counts
+        engine — the differential suite pins them to each other.  A
+        failed core build or load counts
         each fallback solver in ``sat.core_fallbacks``.
         """
         if cls is KernelSolver and proof is None:
@@ -878,8 +902,8 @@ class KernelSolver:
         Returns SAT / UNSAT / UNKNOWN (budget exhausted).  After SAT,
         :meth:`model_value` reads the model; after UNSAT under
         assumptions, :meth:`core` gives the failed-assumption subset.
-        Emits the same ``sat.solve`` telemetry span and counters as the
-        reference engine.
+        Emits one ``sat.solve`` telemetry span (``core`` names the
+        build) and the ``sat.*`` counters.
         """
         tracer = current_tracer()
         registry = current_metrics()
@@ -891,7 +915,7 @@ class KernelSolver:
                   stats.restarts, stats.learned)
         start = time.monotonic()
         with tracer.span("sat.solve", assumptions=len(assumptions),
-                         engine=self.engine, core=self.backend) as sp:
+                         core=self.backend) as sp:
             result = self._solve(assumptions, budget)
             sp.set(result=result.name,
                    conflicts=stats.conflicts - before[0],
@@ -970,9 +994,9 @@ class KernelSolver:
     def _check_budget(self) -> None:
         """Raise BudgetExceeded when any armed limit has run out.
 
-        Consulted at every conflict and decision checkpoint, exactly
-        like the reference engine — including the cooperative
-        cancellation probe installed by :func:`install_stop_check`.
+        Consulted at every conflict and decision checkpoint, including
+        the cooperative cancellation probe installed by
+        :func:`install_stop_check`.
         """
         if self._run_conflicts >= self._lim_conflicts:
             raise BudgetExceeded("conflicts")
@@ -1147,7 +1171,7 @@ def _lim(value: int | None) -> int:
 class _CKernelStats:
     """``SolverStats`` facade reading counters live from the C core.
 
-    Exposes exactly the reference counter vocabulary (every
+    Exposes exactly the interpreted build's counter vocabulary (every
     ``SolverStats`` slot, same names) so telemetry and budget-slicing
     callers never notice which backend produced the numbers.
     """
@@ -1276,7 +1300,7 @@ class _CKernelSolver(KernelSolver):
         else:
             deadline = -1.0
         # Pre-expired deadlines / pending cancellations must stop the
-        # call before level-0 propagation, like both Python engines.
+        # call before level-0 propagation, like the interpreted build.
         if (deadline >= 0.0 and time.monotonic() > deadline) \
                 or stop_requested():
             return SolveResult.UNKNOWN

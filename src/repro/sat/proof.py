@@ -1,6 +1,6 @@
 """Resolution and DRAT proof logging and checking.
 
-The CDCL engines can log every learnt clause as a *resolution chain*:
+The interpreted CDCL kernel can log every learnt clause as a *resolution chain*:
 a start clause plus a sequence of ``(antecedent_id, pivot_var)`` steps.
 Replaying the chains (:class:`ResolutionProof`) validates the
 refutation and drives UNSAT-core extraction and Craig interpolation
@@ -9,8 +9,7 @@ refutation and drives UNSAT-core extraction and Craig interpolation
 :class:`DratProof` accepts the same logging calls but keeps only the
 DRAT view — the ordered sequence of clause *additions* — and validates
 each derived clause by reverse unit propagation (RUP), the check DRAT
-tools perform.  Both proof sinks plug into either solver engine
-unchanged.
+tools perform.  Both proof sinks plug into the kernel unchanged.
 
 Clause literals here are DIMACS-signed ints.
 """
@@ -171,7 +170,7 @@ class DratProof(ResolutionProof):
     """DRAT-style clause-addition log checked by reverse unit propagation.
 
     Drop-in for :class:`ResolutionProof` on the *logging* side: the
-    solvers call :meth:`add_input` / :meth:`add_derived` identically,
+    solver calls :meth:`add_input` / :meth:`add_derived` identically,
     but the resolution chains are discarded — only the order of clause
     additions matters, exactly what a DRAT proof records.  Checking
     replaces chain replay with the RUP test: a derived clause ``C`` is

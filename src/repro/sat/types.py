@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import enum
 import time
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 __all__ = ["SolveResult", "Budget", "BudgetExceeded", "to_internal",
-           "from_internal", "Clause", "UNDEF", "luby",
-           "install_stop_check", "stop_requested", "stop_check_installed"]
-
-UNDEF = -1
+           "from_internal", "install_stop_check", "stop_requested",
+           "stop_check_installed"]
 
 
 def to_internal(dimacs_lit: int) -> int:
@@ -157,46 +155,3 @@ class Budget:
                 parts.append(f"{name}={val}")
         return "Budget(" + ", ".join(parts) + ")"
 
-
-class Clause:
-    """A clause in the solver's database.
-
-    ``lits`` holds internal literals; positions 0 and 1 are the watched
-    literals.  ``learnt`` clauses carry an LBD score and activity for the
-    deletion policy.
-    """
-
-    __slots__ = ("lits", "learnt", "lbd", "activity", "deleted", "proof_id")
-
-    def __init__(self, lits: List[int], learnt: bool = False,
-                 proof_id: int = -1) -> None:
-        self.lits = lits
-        self.learnt = learnt
-        self.lbd = 0
-        self.activity = 0.0
-        self.deleted = False
-        self.proof_id = proof_id
-
-    def __len__(self) -> int:
-        return len(self.lits)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        kind = "L" if self.learnt else "O"
-        return f"Clause[{kind}]({[from_internal(l) for l in self.lits]})"
-
-
-def luby(i: int) -> int:
-    """The Luby restart sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ...
-
-    ``i`` is 1-based (``luby(1) == 1``).
-    """
-    x = i - 1
-    size, seq = 1, 0
-    while size < x + 1:
-        seq += 1
-        size = 2 * size + 1
-    while size - 1 != x:
-        size = (size - 1) // 2
-        seq -= 1
-        x %= size
-    return 1 << seq

@@ -1,11 +1,12 @@
-"""Shared fixtures: the reference-solver leg of the differential tests,
+"""Shared fixtures: the proof-checked leg of the differential tests,
 and a serve daemon running in a thread.
 
 Production code builds every CDCL solver through
-:func:`repro.sat.kernel.make_solver`, which always returns the kernel.
-The differential suites still run one leg on the pure-Python reference
-:class:`repro.sat.solver.CdclSolver`; :func:`reference_solver` swaps it
-in for every ``make_solver`` binding of the loaded ``repro`` modules.
+:func:`repro.sat.kernel.make_solver`: the compiled core when it loads,
+else the interpreted kernel.  :func:`proof_solver` routes every
+``make_solver`` binding of the loaded ``repro`` modules to a
+proof-logging (so always interpreted) kernel and checks every proof it
+logged.
 """
 
 import contextlib
@@ -17,23 +18,26 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.sat.kernel import make_solver
-from repro.sat.solver import CdclSolver
+from repro.sat.kernel import KernelSolver, make_solver
+from repro.sat.proof import DratProof
 from repro.serve import ServeClient, ServeDaemon
 
 
 @contextlib.contextmanager
-def reference_solver():
-    """Route every ``make_solver`` call in ``repro.*`` to CdclSolver.
+def proof_solver():
+    """Route every ``make_solver`` call in ``repro.*`` to an
+    interpreted kernel logging a :class:`DratProof`.
 
-    Asserts on exit that the block built at least one CdclSolver, so a
-    module that stops going through ``make_solver`` cannot silently
-    drop out of the reference leg.
+    A caller's own proof sink is kept (interpolation needs its
+    resolution chains).  On exit every DRAT log of the block's solvers
+    must pass ``verify()``, and the block must have built at least one
+    solver, so a module that stops going through ``make_solver`` cannot
+    silently drop out of the proof leg.
     """
     built = []
 
-    def make_reference(proof=None):
-        solver = CdclSolver(proof=proof)
+    def make_logged(proof=None):
+        solver = KernelSolver(proof=DratProof() if proof is None else proof)
         built.append(solver)
         return solver
 
@@ -41,20 +45,23 @@ def reference_solver():
                if (name == "repro" or name.startswith("repro."))
                and getattr(module, "make_solver", None) is make_solver]
     for module in patched:
-        module.make_solver = make_reference
+        module.make_solver = make_logged
     try:
         yield built
     finally:
         for module in patched:
             module.make_solver = make_solver
-    assert built, "the reference leg built no CdclSolver"
+    assert built, "the proof leg built no solver"
+    for solver in built:
+        if isinstance(solver.proof, DratProof):
+            assert solver.proof.verify()
 
 
 @pytest.fixture(scope="session")
-def reference_leg():
-    """The :func:`reference_solver` context manager (session-scoped, so
+def proof_leg():
+    """The :func:`proof_solver` context manager (session-scoped, so
     hypothesis tests can use it)."""
-    return reference_solver
+    return proof_solver
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from repro.bmc import encode_qbf, encode_squaring, encode_unrolled
 from repro.logic import expr as ex
 from repro.models import counter, mixer, shift_register
 from repro.qbf import QdpllSolver, evaluate_qbf
-from repro.sat import CdclSolver, SolveResult
+from repro.sat import SolveResult, make_solver
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +22,7 @@ class TestUnrolled:
     def test_sat_at_exact_depth(self, small_counter):
         system, final, depth = small_counter
         enc = encode_unrolled(system, final, depth)
-        s = CdclSolver()
+        s = make_solver()
         s.ensure_vars(enc.cnf.num_vars)
         s.add_clauses(enc.cnf.clauses)
         assert s.solve() is SolveResult.SAT
@@ -32,7 +32,7 @@ class TestUnrolled:
     def test_unsat_below_depth(self, small_counter):
         system, final, depth = small_counter
         enc = encode_unrolled(system, final, depth - 1)
-        s = CdclSolver()
+        s = make_solver()
         s.ensure_vars(enc.cnf.num_vars)
         s.add_clauses(enc.cnf.clauses)
         assert s.solve() is SolveResult.UNSAT
@@ -40,7 +40,7 @@ class TestUnrolled:
     def test_within_semantics_disjunction(self, small_counter):
         system, final, depth = small_counter
         enc = encode_unrolled(system, final, depth + 2, semantics="within")
-        s = CdclSolver()
+        s = make_solver()
         s.ensure_vars(enc.cnf.num_vars)
         s.add_clauses(enc.cnf.clauses)
         assert s.solve() is SolveResult.SAT
@@ -49,7 +49,7 @@ class TestUnrolled:
         system, final, _ = small_counter
         zero = counter.make(3, 0)
         enc = encode_unrolled(zero[0], zero[1], 0)
-        s = CdclSolver()
+        s = make_solver()
         s.ensure_vars(enc.cnf.num_vars)
         s.add_clauses(enc.cnf.clauses)
         assert s.solve() is SolveResult.SAT      # counter starts at 0

@@ -12,7 +12,9 @@ this suite turns that into a correctness harness:
 * property-based (hypothesis) cross-checks on random transition
   systems: the incremental sweep agrees with per-bound ``sat-unroll``
   bound-for-bound, and the two query semantics satisfy
-  ``within(k) ⇔ ∃ j <= k: exact(j)``.
+  ``within(k) ⇔ ∃ j <= k: exact(j)``;
+* the same sweeps on each kernel build, the interpreted one logging a
+  DRAT proof of every solve through the ``proof_leg`` fixture.
 """
 
 import contextlib
@@ -153,39 +155,42 @@ class TestRandomSystems:
                                    for s in got.trace.states[:-1])
 
 class TestEngineLegs:
-    """The same sweep with one leg pinned to the reference solver via
-    the ``reference_leg`` fixture: the engine choice must be invisible
-    in every verdict, shortest bound, and witness."""
+    """The same sweep on each kernel build, the interpreted one logging
+    a DRAT proof of every solve through the ``proof_leg`` fixture (each
+    proof must check): the build must be invisible in every verdict,
+    shortest bound, and witness."""
 
     @pytest.mark.parametrize("instance", REPRESENTATIVES[::3],
                              ids=[i.family for i in REPRESENTATIVES[::3]])
-    def test_suite_sweep_engine_invariant(self, instance, reference_leg):
+    def test_suite_sweep_engine_invariant(self, instance, proof_leg):
         system, final = instance.system, instance.final
         legs = {}
-        with reference_leg():
-            legs["reference"] = _sweep(system, final, MAX_K,
-                                       method="sat-incremental")
-        legs["kernel"] = _sweep(system, final, MAX_K,
-                                method="sat-incremental")
-        ref, ker = legs["reference"], legs["kernel"]
-        assert ref.status is ker.status, instance.name
-        assert ref.shortest_k == ker.shortest_k, instance.name
+        with proof_leg():
+            legs["interpreted"] = _sweep(system, final, MAX_K,
+                                         method="sat-incremental")
+        legs["compiled"] = _sweep(system, final, MAX_K,
+                                  method="sat-incremental")
+        logged, default = legs["interpreted"], legs["compiled"]
+        assert logged.status is default.status, instance.name
+        assert logged.shortest_k == default.shortest_k, instance.name
         per_bound = {leg: {b.k: b.status for b in result.per_bound}
                      for leg, result in legs.items()}
-        assert per_bound["reference"] == per_bound["kernel"], instance.name
-        if ker.trace is not None:
-            ker.trace.validate(system, final)
-            assert ker.trace.length == ker.shortest_k
+        assert per_bound["interpreted"] == per_bound["compiled"], \
+            instance.name
+        for result in legs.values():
+            if result.trace is not None:
+                result.trace.validate(system, final)
+                assert result.trace.length == result.shortest_k
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=10, **COMMON)
-    def test_methods_engine_matrix_agrees(self, reference_leg, seed):
+    def test_methods_engine_matrix_agrees(self, proof_leg, seed):
         rng = random.Random(seed)
         system = random_system(rng, num_latches=3, num_inputs=1, depth=2)
         final = random_predicate(rng, system)
         verdicts = {}
-        for engine in ("reference", "kernel"):
-            leg = (reference_leg() if engine == "reference"
+        for engine in ("interpreted", "compiled"):
+            leg = (proof_leg() if engine == "interpreted"
                    else contextlib.nullcontext())
             with leg:
                 for method in SAT_METHODS:

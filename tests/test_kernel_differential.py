@@ -1,22 +1,31 @@
 """Differential/fuzz verification of the array-based CDCL kernel.
 
-The :class:`repro.sat.kernel.KernelSolver` must be indistinguishable
-from the reference :class:`repro.sat.solver.CdclSolver` at the public
-surface — same verdicts, valid models, equivalent assumption-group
-retirement, honored budgets, sane stats — on randomly generated
-problems.  Both kernel backends are pinned: the pure-Python array
-implementation (``REPRO_SAT_CC=off``) and, when a system C compiler is
-available, the compiled core.
+The one SAT engine, :class:`repro.sat.kernel.KernelSolver`, ships in
+two builds: the compiled core (``ckernel.c``) and the interpreted array
+implementation (``REPRO_SAT_CC=off``, and every proof-logged solver).
+This suite pins them to each other and checks every answer by
+certificate rather than by trust:
+
+* every SAT model is evaluated against the input clauses (and the
+  assumptions it was asked under);
+* every interpreted solve in the lock-step legs logs a
+  :class:`repro.sat.proof.DratProof`: an UNSAT answer without
+  assumptions must pass ``check_refutation``, one under assumptions
+  must pass ``verify()``, and brute force must find its
+  failed-assumption core unsatisfiable together with the clauses.
 
 Three layers of agreement:
 
-* random CNF formulas (hypothesis): kernel vs reference vs DPLL
-  enumeration, incremental add/solve rounds with assumptions;
+* random CNF formulas (hypothesis): both builds vs DPLL and
+  brute-force enumeration, and incremental add/solve rounds with
+  assumptions in lock-step;
 * random transition-system unrollings for k = 0..6 through
-  :class:`repro.bmc.incremental.IncrementalBmc` on each engine,
-  cross-checked against the explicit-state oracle;
+  :class:`repro.bmc.incremental.IncrementalBmc` on each build (the
+  interpreted one through the ``proof_leg`` fixture), cross-checked
+  against the explicit-state oracle;
 * jSAT-style activation-group retirement: retiring groups mid-stream
-  must leave both engines answering identically afterwards.
+  must leave both builds answering identically afterwards, and like
+  brute force on the formula without the retired constraint.
 """
 
 import os
@@ -32,10 +41,9 @@ from repro.bmc.incremental import IncrementalBmc
 from repro.logic.cnf import CNF
 from repro.sat import ckernel as _ckernel
 from repro.sat.ckernel import CORE_ENV, compiled_available
-from repro.sat.dpll import brute_force_sat
-from repro.sat.kernel import KernelSolver
+from repro.sat.dpll import DpllSolver, brute_force_sat
+from repro.sat.kernel import KernelSolver, SolverStats, make_solver
 from repro.sat.proof import DratProof, ResolutionProof
-from repro.sat.solver import CdclSolver
 from repro.sat.types import Budget, SolveResult, install_stop_check
 from repro.system import ExplicitOracle, random_predicate, random_system
 
@@ -43,17 +51,18 @@ COMMON = dict(deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
 
-#: Kernel backends under test; the compiled leg is skipped gracefully
-#: when no C compiler is present (the pure-Python path is always on).
-BACKENDS = ["interpreted", "compiled"]
+#: The two builds of the kernel, by name.  Proof logging always runs
+#: interpreted; the proof-free default is the compiled core whenever it
+#: loads (under ``REPRO_SAT_CC=off`` both legs are interpreted, and the
+#: lock-step still pins the proof-free path to the logged one).
+ENGINES = {"compiled": KernelSolver,
+           "interpreted": lambda: KernelSolver(proof=DratProof())}
 
-#: The two CDCL implementations under comparison, by name.
-ENGINES = {"reference": CdclSolver, "kernel": KernelSolver}
 
-
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=["interpreted", "compiled"])
 def kernel_backend(request, monkeypatch):
-    """Force one kernel backend for the test's solver constructions."""
+    """Force one kernel backend for the test's solver constructions; the
+    compiled leg is skipped when no C compiler is present."""
     if request.param == "interpreted":
         monkeypatch.setenv(CORE_ENV, "off")
     else:
@@ -63,17 +72,17 @@ def kernel_backend(request, monkeypatch):
     return request.param
 
 
-def _fresh_kernel(backend, proof=None):
-    """A KernelSolver on the requested backend (dispatch happens at
-    construction time, so the fixture's env var decides)."""
-    solver = KernelSolver(proof=proof)
-    if proof is None:
-        assert solver.backend == backend
+def _fresh_kernel(backend):
+    """A proof-free KernelSolver on the ``kernel_backend`` build
+    (dispatch happens at construction time, so the fixture's env var
+    decides)."""
+    solver = KernelSolver()
+    assert solver.backend == backend
     return solver
 
 
 # ----------------------------------------------------------------------
-# Random CNF strategies
+# Random CNF strategies and answer certificates
 # ----------------------------------------------------------------------
 def _random_cnf(rng, num_vars, num_clauses, max_len=4):
     cnf = CNF(num_vars)
@@ -85,85 +94,156 @@ def _random_cnf(rng, num_vars, num_clauses, max_len=4):
     return cnf
 
 
-def _assert_model_satisfies(cnf, model, context):
-    assignment = {v: model.get(v, False)
-                  for v in range(1, cnf.num_vars + 1)}
-    assert cnf.evaluate(assignment), context
+def _cnf_of(num_vars, clauses):
+    cnf = CNF(num_vars)
+    for clause in clauses:
+        cnf.add_clause(clause)
+    return cnf
+
+
+def _certify(solver, cnf, assumptions, status, context):
+    """Check one answer of ``solver`` on ``cnf`` by its certificate.
+
+    SAT: the model satisfies every clause and every assumption.  UNSAT
+    from a proof-logging solver: the DRAT log replays — as a refutation
+    when the solver derived the empty clause (always, without
+    assumptions), else every learnt clause by RUP.  UNSAT under
+    assumptions: the failed-assumption core is unsatisfiable together
+    with the clauses, by brute force.
+    """
+    if status is SolveResult.SAT:
+        model = solver.model()
+        assignment = {v: model.get(v, False)
+                      for v in range(1, cnf.num_vars + 1)}
+        assert cnf.evaluate(assignment), context
+        for lit in assumptions:
+            assert model.get(abs(lit), False) == (lit > 0), (context, lit)
+        return
+    assert status is SolveResult.UNSAT, context
+    proof = solver.proof
+    if proof is not None:
+        if solver.empty_clause_proof >= 0:
+            assert proof.check_refutation(solver.empty_clause_proof), context
+        else:
+            assert assumptions, context
+            assert proof.verify(), context
+    if assumptions:
+        core = solver.core()
+        assert set(map(abs, core)) <= set(map(abs, assumptions)), context
+        with_core = cnf.copy()
+        for lit in core:
+            with_core.add_clause([lit])
+        assert _refuted(with_core), context
+
+
+def _solve_loaded(solver, cnf):
+    """Load ``cnf`` into a fresh solver and decide it."""
+    solver.ensure_vars(cnf.num_vars)
+    solver.add_clauses(cnf.clauses)
+    return solver.solve()
+
+
+def _refuted(cnf):
+    """True when ``cnf`` is unsatisfiable: by brute force on small
+    formulas, else by a DRAT-checked refutation from a fresh
+    proof-logging solver (sound whatever that solver's own state)."""
+    if cnf.num_vars <= 16:
+        return brute_force_sat(cnf)[0] is SolveResult.UNSAT
+    solver = KernelSolver(proof=DratProof())
+    if _solve_loaded(solver, cnf) is not SolveResult.UNSAT:
+        return False
+    return solver.proof.check_refutation(solver.empty_clause_proof)
 
 
 class TestRandomCnf:
-    """Verdict and model agreement on one-shot random formulas."""
+    """Verdict and certificate agreement on random formulas."""
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=60, **COMMON)
-    def test_kernel_matches_reference_and_dpll(self, seed):
+    def test_builds_match_dpll(self, seed):
         rng = random.Random(seed)
         num_vars = rng.randint(3, 12)
         cnf = _random_cnf(rng, num_vars, rng.randint(1, 4 * num_vars))
         expected, _ = brute_force_sat(cnf)
+        assert DpllSolver(cnf).solve() is expected, seed
 
-        for engine, solver_cls in ENGINES.items():
-            solver = solver_cls()
-            solver.ensure_vars(cnf.num_vars)
-            loaded = solver.add_clauses(cnf.clauses)
-            status = solver.solve() if loaded else SolveResult.UNSAT
+        for engine, build in ENGINES.items():
+            solver = build()
+            status = _solve_loaded(solver, cnf)
             assert status is expected, (seed, engine)
-            if status is SolveResult.SAT:
-                _assert_model_satisfies(cnf, solver.model(), (seed, engine))
+            _certify(solver, cnf, (), status, (seed, engine))
 
     @given(st.integers(0, 100_000))
     @example(10017)     # the builds learn different level-0 units here
     @settings(max_examples=40, **COMMON)
     def test_incremental_rounds_with_assumptions(self, seed):
         """Interleaved add/solve rounds under assumptions stay in
-        lock-step: same verdict each round, failed-assumption cores are
-        themselves unsatisfiable together with the clauses.
+        lock-step: same verdict each round, and every answer passes its
+        certificate check.
 
         ``add_clause`` is one-sided — False means refuted, True
         promises nothing — so each solver's ``ok`` is checked against
-        the clauses, not against the other solver: which units a
+        the clauses, not against the other build: which units a
         search learnt decides whether a conflict shows at the add or
         only at the next solve."""
         rng = random.Random(seed)
         num_vars = rng.randint(4, 10)
-        reference = CdclSolver()
-        kernel = KernelSolver()
-        for solver in (reference, kernel):
+        solvers = {engine: build() for engine, build in ENGINES.items()}
+        for solver in solvers.values():
             solver.ensure_vars(num_vars)
         added = []
         for _ in range(rng.randint(2, 5)):
             batch = _random_cnf(rng, num_vars, rng.randint(1, 6)).clauses
-            ok_ref = all([reference.add_clause(c) for c in batch])
-            ok_ker = all([kernel.add_clause(c) for c in batch])
+            for solver in solvers.values():
+                for clause in batch:
+                    solver.add_clause(clause)
             added.extend(batch)
-            for solver in (reference, kernel):
+            cnf = _cnf_of(num_vars, added)
+            for engine, solver in solvers.items():
                 if not solver.ok:
-                    refuted = CNF(num_vars)
-                    for clause in added:
-                        refuted.add_clause(clause)
-                    assert brute_force_sat(refuted)[0] \
-                        is SolveResult.UNSAT, (seed, type(solver))
+                    assert brute_force_sat(cnf)[0] is SolveResult.UNSAT, \
+                        (seed, engine)
             assumptions = [rng.choice([1, -1]) * rng.randint(1, num_vars)
                            for _ in range(rng.randint(0, 3))]
-            status_ref = reference.solve(assumptions)
-            status_ker = kernel.solve(assumptions)
-            assert status_ref is status_ker, (seed, assumptions,
-                                              ok_ref, ok_ker)
-            if status_ker is SolveResult.SAT:
-                model = kernel.model()
-                cnf = CNF(num_vars)
-                for clause in added:
-                    cnf.add_clause(clause)
-                _assert_model_satisfies(cnf, model, seed)
-                for lit in assumptions:
-                    value = model.get(abs(lit), False)
-                    assert value == (lit > 0), (seed, lit)
-            elif status_ker is SolveResult.UNSAT and assumptions:
-                core = kernel.core()
-                assert set(map(abs, core)) <= set(map(abs, assumptions))
+            status = {engine: solver.solve(assumptions)
+                      for engine, solver in solvers.items()}
+            assert status["compiled"] is status["interpreted"], \
+                (seed, assumptions)
+            for engine, solver in solvers.items():
+                _certify(solver, cnf, assumptions, status[engine],
+                         (seed, engine, assumptions))
+
+    def test_midsize_lockstep_certified(self):
+        """Random 3-SAT at the phase transition, n = 50..70: too big
+        for brute force, so both builds are checked by certificate
+        alone — one solve, then incremental rounds under assumptions.
+        Formulas this size learn clauses over several decision levels,
+        which the tiny fuzz formulas above rarely do."""
+        rng = random.Random(20261018)
+        for trial in range(24):
+            num_vars = rng.randint(50, 70)
+            cnf = CNF(num_vars)
+            for _ in range(int(4.26 * num_vars)):
+                cnf.add_clause([rng.choice([1, -1]) * v for v in
+                                rng.sample(range(1, num_vars + 1), 3)])
+            solvers = {engine: build() for engine, build in ENGINES.items()}
+            for solver in solvers.values():
+                solver.ensure_vars(num_vars)
+                solver.add_clauses(cnf.clauses)
+            rounds = [()] + [
+                [rng.choice([1, -1]) * rng.randint(1, num_vars)
+                 for _ in range(3)] for _ in range(3)]
+            for assumptions in rounds:
+                status = {engine: solver.solve(assumptions)
+                          for engine, solver in solvers.items()}
+                assert status["compiled"] is status["interpreted"], \
+                    (trial, assumptions)
+                for engine, solver in solvers.items():
+                    _certify(solver, cnf, assumptions, status[engine],
+                             (trial, engine, assumptions))
 
     def test_both_backends_agree(self, kernel_backend):
-        """The forced backend answers exactly like the reference on a
+        """The forced backend answers like brute force on a
         deterministic batch of formulas (belt over the fuzz above)."""
         rng = random.Random(20250808)
         for _ in range(25):
@@ -171,10 +251,9 @@ class TestRandomCnf:
             cnf = _random_cnf(rng, num_vars, rng.randint(1, 30))
             expected, _ = brute_force_sat(cnf)
             solver = _fresh_kernel(kernel_backend)
-            solver.ensure_vars(cnf.num_vars)
-            loaded = solver.add_clauses(cnf.clauses)
-            status = solver.solve() if loaded else SolveResult.UNSAT
+            status = _solve_loaded(solver, cnf)
             assert status is expected
+            _certify(solver, cnf, (), status, kernel_backend)
 
 
 # ----------------------------------------------------------------------
@@ -186,30 +265,35 @@ class TestGroupRetirement:
     def test_retirement_equivalence(self, seed):
         """Guarded constraints + retirement behave identically: while a
         group is assumed the constraint bites, after ``[-g]`` +
-        purge both engines answer like the constraint never existed."""
+        purge both builds answer like the constraint never existed."""
         rng = random.Random(seed)
         num_vars = rng.randint(4, 9)
         base = _random_cnf(rng, num_vars, rng.randint(2, 10))
         constraint = [rng.choice([1, -1]) * rng.randint(1, num_vars)
                       for _ in range(rng.randint(1, 3))]
-        solvers = {"reference": CdclSolver(), "kernel": KernelSolver()}
         group = num_vars + 1
+        guarded = _cnf_of(group, base.clauses)
+        for lit in constraint:
+            guarded.add_clause([-group, lit])
+        retired_cnf = guarded.copy()
+        retired_cnf.add_clause([-group])
         status = {}
-        for name, solver in solvers.items():
-            solver.ensure_vars(num_vars + 1)
-            loaded = solver.add_clauses(base.clauses)
-            for lit in constraint:
-                solver.add_clause([-group, lit])
-            active = solver.solve([group]) if loaded else SolveResult.UNSAT
+        for engine, build in ENGINES.items():
+            solver = build()
+            solver.ensure_vars(group)
+            solver.add_clauses(guarded.clauses)
+            active = solver.solve([group])
+            _certify(solver, guarded, [group], active, (seed, engine))
             solver.add_clause([-group])
             solver.purge_satisfied()
-            retired = solver.solve() if solver.ok else SolveResult.UNSAT
-            status[name] = (active, retired)
-        assert status["reference"] == status["kernel"], seed
+            retired = solver.solve()
+            _certify(solver, retired_cnf, (), retired, (seed, engine))
+            status[engine] = (active, retired)
+        assert status["compiled"] == status["interpreted"], seed
         # Retirement really removed the constraint: the plain base
         # formula's verdict matches the post-retirement answer.
         expected, _ = brute_force_sat(base)
-        assert status["kernel"][1] is expected, seed
+        assert status["compiled"][1] is expected, seed
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +302,7 @@ class TestGroupRetirement:
 class TestRandomUnrollings:
     @given(st.integers(0, 100_000))
     @settings(max_examples=15, **COMMON)
-    def test_incremental_bmc_engines_agree(self, reference_leg, seed):
+    def test_incremental_bmc_engines_agree(self, proof_leg, seed):
         rng = random.Random(seed)
         system = random_system(rng, num_latches=3, num_inputs=1, depth=2)
         final = random_predicate(rng, system)
@@ -237,13 +321,13 @@ class TestRandomUnrollings:
                 driver.retire_bound(k)
             return verdicts
 
-        with reference_leg():
-            reference = leg("reference")
-        kernel = leg("kernel")
+        with proof_leg():
+            interpreted = leg("interpreted")
+        compiled = leg("compiled")
         for k in range(7):
-            assert reference[k] is kernel[k], (seed, k)
+            assert interpreted[k] is compiled[k], (seed, k)
             want = oracle.reachable_in_exactly(final, k)
-            assert (kernel[k] is SolveResult.SAT) == want, (seed, k)
+            assert (compiled[k] is SolveResult.SAT) == want, (seed, k)
 
 
 # ----------------------------------------------------------------------
@@ -320,9 +404,7 @@ class TestBudgetsAndCancellation:
 class TestStatsSanity:
     def test_counters_present_and_monotone(self, kernel_backend):
         solver = _fresh_kernel(kernel_backend)
-        reference = CdclSolver()
-        assert set(solver.stats.as_dict()) == \
-            set(reference.stats.as_dict())
+        assert set(solver.stats.as_dict()) == set(SolverStats.__slots__)
         _pigeonhole(solver, holes=4)
         assert solver.solve() is SolveResult.UNSAT
         stats = solver.stats.as_dict()
@@ -340,30 +422,39 @@ class TestStatsSanity:
             assert after[key] >= before[key], key
 
     def test_engine_attributes(self, kernel_backend):
+        """A solver names its build by ``backend`` alone: there is one
+        engine, so there is no ``engine`` attribute."""
         solver = _fresh_kernel(kernel_backend)
-        assert solver.engine == "kernel"
-        assert CdclSolver().engine == "reference"
+        assert solver.backend == kernel_backend
+        assert not hasattr(solver, "engine")
+        assert KernelSolver(proof=DratProof()).backend == "interpreted"
 
 
 # ----------------------------------------------------------------------
-# UNSAT proofs (resolution chains and DRAT/RUP) on both engines
+# UNSAT proofs (resolution chains and DRAT/RUP)
 # ----------------------------------------------------------------------
+#: The two ways to build a proof-logging solver: the class itself and
+#: the production constructor (which interpolation goes through).
+PROOF_SOLVERS = {"kernel": KernelSolver, "make_solver": make_solver}
+
+
 class TestUnsatProofs:
-    @pytest.mark.parametrize("engine", ["reference", "kernel"])
+    @pytest.mark.parametrize("engine", list(PROOF_SOLVERS))
     @pytest.mark.parametrize("proof_cls", [ResolutionProof, DratProof])
     def test_pigeonhole_refutation_validates(self, engine, proof_cls):
         proof = proof_cls()
-        solver = ENGINES[engine](proof=proof)
+        solver = PROOF_SOLVERS[engine](proof=proof)
+        assert solver.proof is proof
         _pigeonhole(solver, holes=4)
         assert solver.solve() is SolveResult.UNSAT
         assert proof.check_refutation(solver.empty_clause_proof)
 
-    @pytest.mark.parametrize("engine", ["reference", "kernel"])
+    @pytest.mark.parametrize("engine", list(PROOF_SOLVERS))
     def test_incremental_unsat_proof(self, engine):
         """Proof logging across add/solve rounds: the refutation logged
         after the second batch still replays."""
         proof = DratProof()
-        solver = ENGINES[engine](proof=proof)
+        solver = PROOF_SOLVERS[engine](proof=proof)
         solver.ensure_vars(3)
         solver.add_clauses([[1, 2], [-1, 2], [1, -2]])
         assert solver.solve() is SolveResult.SAT
@@ -476,3 +567,19 @@ class TestCoreBuild:
                                         "interpreted", "interpreted"]
         assert child.stderr.count("compiled SAT core unavailable") == 1
         assert "no C compiler found" in child.stderr
+
+    def test_build_prunes_stale_cores(self, monkeypatch, tmp_path):
+        """A successful build deletes the cores built under older keys
+        in its cache directory, and nothing else there."""
+        if not compiled_available():
+            pytest.skip("no C compiler for the compiled kernel core")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        with open(_ckernel._SOURCE, "rb") as fh:
+            so_path = _ckernel._cache_path(fh.read())
+        cache = os.path.dirname(so_path)
+        for name in ("repro_ckernel_0123456789abcdef.so", "unrelated.so"):
+            with open(os.path.join(cache, name), "wb"):
+                pass
+        assert _ckernel._compile(_ckernel._SOURCE, so_path) is None
+        assert sorted(os.listdir(cache)) == sorted(
+            [os.path.basename(so_path), "unrelated.so"])

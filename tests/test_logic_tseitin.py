@@ -132,14 +132,14 @@ def test_full_tseitin_aux_vars_functionally_determined():
 def test_encode_false_returns_false_literal():
     """Regression: encode(FALSE) must hand back a literal that *is*
     false, not the (true) asserted unit — the jSAT F-guard relies on it."""
-    from repro.sat import CdclSolver, SolveResult
+    from repro.sat import SolveResult, make_solver
 
     pool = VarPool()
     cnf = CNF()
     enc = TseitinEncoder(cnf, pool)
     lit_true = enc.encode(ex.TRUE)
     lit_false = enc.encode(ex.FALSE)
-    solver = CdclSolver()
+    solver = make_solver()
     solver.ensure_vars(cnf.num_vars)
     solver.add_clauses(cnf.clauses)
     assert solver.solve() is SolveResult.SAT

@@ -2,7 +2,8 @@
 
 These encode the load-bearing contracts of the library:
 
-* the CDCL solver agrees with brute force and produces real models;
+* both CDCL kernel builds agree with brute force and produce real
+  models;
 * Tseitin preserves satisfiability and model projections;
 * QDPLL and expansion agree with the semantic QBF oracle;
 * all BMC methods agree with the explicit-state oracle and with each
@@ -18,7 +19,7 @@ from repro.logic import expr as ex
 from repro.logic.cnf import CNF
 from repro.logic.tseitin import expr_to_cnf
 from repro.qbf import PCNF, ExpansionSolver, QdpllSolver, evaluate_qbf
-from repro.sat import CdclSolver, SolveResult, brute_force_sat
+from repro.sat import DratProof, KernelSolver, SolveResult, brute_force_sat
 from repro.system import ExplicitOracle, random_predicate, random_system
 from repro.system.random_model import random_expr
 
@@ -44,15 +45,21 @@ class TestSatSolverProperties:
     @given(cnf_formulas())
     @settings(max_examples=60, **COMMON)
     def test_cdcl_matches_brute_force(self, cnf):
+        """Both kernel builds (the default and the proof-logging
+        interpreted one) agree with brute force; every model satisfies
+        the formula and every refutation checks."""
         expected, _ = brute_force_sat(cnf)
-        solver = CdclSolver()
-        solver.add_clauses(cnf.clauses)
-        got = solver.solve()
-        assert got is expected
-        if got is SolveResult.SAT:
-            model = {v: bool(solver.model_value(v))
-                     for v in range(1, cnf.num_vars + 1)}
-            assert cnf.evaluate(model)
+        for proof in (None, DratProof()):
+            solver = KernelSolver(proof=proof)
+            solver.add_clauses(cnf.clauses)
+            got = solver.solve()
+            assert got is expected
+            if got is SolveResult.SAT:
+                model = {v: bool(solver.model_value(v))
+                         for v in range(1, cnf.num_vars + 1)}
+                assert cnf.evaluate(model)
+            elif proof is not None:
+                assert proof.check_refutation(solver.empty_clause_proof)
 
     @given(cnf_formulas(max_vars=7), st.data())
     @settings(max_examples=40, **COMMON)
@@ -62,14 +69,14 @@ class TestSatSolverProperties:
         variables = data.draw(st.permutations(range(1, n + 1)))
         assumptions = [v * data.draw(st.sampled_from((1, -1)))
                        for v in variables[:count]]
-        s1 = CdclSolver()
-        s1.add_clauses(cnf.clauses)
-        via_assumptions = s1.solve(assumptions)
         stronger = cnf.copy()
         for lit in assumptions:
             stronger.add_clause([lit])
         expected, _ = brute_force_sat(stronger)
-        assert via_assumptions is expected
+        for proof in (None, DratProof()):
+            s1 = KernelSolver(proof=proof)
+            s1.add_clauses(cnf.clauses)
+            assert s1.solve(assumptions) is expected
 
 
 class TestTseitinProperties:
@@ -82,7 +89,7 @@ class TestTseitinProperties:
         if expression.is_const:
             return
         cnf, pool = expr_to_cnf(expression, polarity_reduction)
-        solver = CdclSolver()
+        solver = KernelSolver()
         solver.ensure_vars(cnf.num_vars)
         solver.add_clauses(cnf.clauses)
         got = solver.solve()

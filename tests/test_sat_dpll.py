@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.logic.cnf import CNF
-from repro.sat import CdclSolver, DpllSolver, SolveResult
+from repro.sat import DpllSolver, KernelSolver, SolveResult
 from repro.sat.dpll import brute_force_models, brute_force_sat
 
 
@@ -38,7 +38,7 @@ def test_agrees_with_cdcl_on_random():
         for _ in range(rng.randint(1, 30)):
             cnf.add_clause([rng.choice([1, -1]) * rng.randint(1, n)
                             for _ in range(rng.randint(1, 3))])
-        cdcl = CdclSolver()
+        cdcl = KernelSolver()
         cdcl.add_clauses(cnf.clauses)
         assert DpllSolver(cnf).solve() is cdcl.solve()
 

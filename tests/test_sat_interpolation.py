@@ -7,7 +7,7 @@ import pytest
 
 from repro.logic import expr as ex
 from repro.logic.cnf import CNF
-from repro.sat import CdclSolver, ResolutionProof, SolveResult, brute_force_sat
+from repro.sat import ResolutionProof, SolveResult, brute_force_sat, make_solver
 from repro.sat.interpolation import InterpolationError, compute_interpolant
 
 
@@ -35,7 +35,7 @@ def _check_itp_properties(a_clauses, b_clauses, num_vars, itp):
 
 def _solve_partition(a_clauses, b_clauses):
     proof = ResolutionProof()
-    solver = CdclSolver(proof=proof)
+    solver = make_solver(proof=proof)
     a_ids, b_ids = [], []
     for clause in a_clauses:
         start = len(proof)

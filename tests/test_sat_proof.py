@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.logic.cnf import CNF
-from repro.sat import (CdclSolver, ProofError, ResolutionProof, SolveResult,
+from repro.sat import (KernelSolver, ProofError, ResolutionProof, SolveResult,
                        brute_force_sat)
 
 
@@ -54,7 +54,7 @@ class TestSolverRefutations:
             if expected is not SolveResult.UNSAT:
                 continue
             proof = ResolutionProof()
-            solver = CdclSolver(proof=proof)
+            solver = KernelSolver(proof=proof)
             solver.add_clauses(cnf.clauses)
             assert solver.solve() is SolveResult.UNSAT
             yield cnf, proof, solver
@@ -81,7 +81,7 @@ class TestSolverRefutations:
 
     def test_pigeonhole_proof(self):
         proof = ResolutionProof()
-        s = CdclSolver(proof=proof)
+        s = KernelSolver(proof=proof)
         def v(i, j):
             return i * 3 + j + 1
         for i in range(4):

@@ -1,76 +1,94 @@
-"""CDCL solver unit and randomized tests."""
+"""CDCL kernel unit and randomized tests.
+
+Search-behaviour tests run on both builds of the kernel: the default
+(the compiled core when it loads) and the interpreted one, which every
+proof-logging solver runs on.
+"""
 
 import random
 
 import pytest
 
 from repro.logic.cnf import CNF
-from repro.sat import (Budget, CdclSolver, ResolutionProof, SolveResult,
+from repro.sat import (Budget, DratProof, KernelSolver, SolveResult,
                        brute_force_sat)
-from repro.sat.types import from_internal, luby, to_internal
+from repro.sat.ckernel import CORE_ENV, compiled_available
+from repro.sat.types import from_internal, to_internal
+
+#: A fresh solver of each kernel build, by name.
+BUILDS = {"default": KernelSolver,
+          "interpreted": lambda: KernelSolver(proof=DratProof())}
 
 
 class TestBasics:
     def test_empty_formula_sat(self):
-        assert CdclSolver().solve() is SolveResult.SAT
+        for build in BUILDS.values():
+            assert build().solve() is SolveResult.SAT
 
     def test_unit_conflict(self):
-        s = CdclSolver()
-        s.add_clause([1])
-        assert not s.add_clause([-1])
-        assert s.solve() is SolveResult.UNSAT
+        for build in BUILDS.values():
+            s = build()
+            s.add_clause([1])
+            assert not s.add_clause([-1])
+            assert s.solve() is SolveResult.UNSAT
 
     def test_simple_sat_model(self):
-        s = CdclSolver()
-        s.add_clause([1, 2])
-        s.add_clause([-1])
-        assert s.solve() is SolveResult.SAT
-        assert s.model_value(1) is False
-        assert s.model_value(2) is True
-        assert s.model_value(-2) is False
+        for build in BUILDS.values():
+            s = build()
+            s.add_clause([1, 2])
+            s.add_clause([-1])
+            assert s.solve() is SolveResult.SAT
+            assert s.model_value(1) is False
+            assert s.model_value(2) is True
+            assert s.model_value(-2) is False
 
     def test_pigeonhole_3_2_unsat(self):
         # 3 pigeons, 2 holes: p_ij = pigeon i in hole j.
-        s = CdclSolver()
         def v(i, j):
             return i * 2 + j + 1
-        for i in range(3):
-            s.add_clause([v(i, 0), v(i, 1)])
-        for j in range(2):
-            for i1 in range(3):
-                for i2 in range(i1 + 1, 3):
-                    s.add_clause([-v(i1, j), -v(i2, j)])
-        assert s.solve() is SolveResult.UNSAT
+        for build in BUILDS.values():
+            s = build()
+            for i in range(3):
+                s.add_clause([v(i, 0), v(i, 1)])
+            for j in range(2):
+                for i1 in range(3):
+                    for i2 in range(i1 + 1, 3):
+                        s.add_clause([-v(i1, j), -v(i2, j)])
+            assert s.solve() is SolveResult.UNSAT
 
     def test_tautology_ignored(self):
-        s = CdclSolver()
-        s.add_clause([1, -1])
-        assert s.solve() is SolveResult.SAT
+        for build in BUILDS.values():
+            s = build()
+            s.add_clause([1, -1])
+            assert s.solve() is SolveResult.SAT
 
     def test_model_covers_all_vars(self):
-        s = CdclSolver()
-        s.ensure_vars(5)
-        s.add_clause([1, 2])
-        assert s.solve() is SolveResult.SAT
-        assert all(s.model_value(v) is not None for v in range(1, 6))
+        for build in BUILDS.values():
+            s = build()
+            s.ensure_vars(5)
+            s.add_clause([1, 2])
+            assert s.solve() is SolveResult.SAT
+            assert all(s.model_value(v) is not None for v in range(1, 6))
 
 
 class TestAssumptions:
     def test_assumption_forces_value(self):
-        s = CdclSolver()
-        s.add_clause([1, 2])
-        assert s.solve(assumptions=[-1]) is SolveResult.SAT
-        assert s.model_value(2) is True
+        for build in BUILDS.values():
+            s = build()
+            s.add_clause([1, 2])
+            assert s.solve(assumptions=[-1]) is SolveResult.SAT
+            assert s.model_value(2) is True
 
     def test_unsat_under_assumptions_recovers(self):
-        s = CdclSolver()
-        s.add_clause([-1, 2])
-        s.add_clause([-2, 3])
-        assert s.solve(assumptions=[1, -3]) is SolveResult.UNSAT
-        core = s.core()
-        assert set(core) <= {1, -3} and core
-        # Still satisfiable without assumptions.
-        assert s.solve() is SolveResult.SAT
+        for build in BUILDS.values():
+            s = build()
+            s.add_clause([-1, 2])
+            s.add_clause([-2, 3])
+            assert s.solve(assumptions=[1, -3]) is SolveResult.UNSAT
+            core = s.core()
+            assert set(core) <= {1, -3} and core
+            # Still satisfiable without assumptions.
+            assert s.solve() is SolveResult.SAT
 
     def test_core_is_unsat_subset(self):
         rng = random.Random(17)
@@ -83,20 +101,22 @@ class TestAssumptions:
             assumptions = [rng.choice([1, -1]) * v
                            for v in rng.sample(range(1, n + 1),
                                                rng.randint(1, n))]
-            s = CdclSolver()
-            s.add_clauses(cnf.clauses)
-            if s.solve(assumptions) is SolveResult.UNSAT:
-                with_core = cnf.copy()
-                for lit in s.core():
-                    with_core.add_clause([lit])
-                status, _ = brute_force_sat(with_core)
-                assert status is SolveResult.UNSAT
+            for build in BUILDS.values():
+                s = build()
+                s.add_clauses(cnf.clauses)
+                if s.solve(assumptions) is SolveResult.UNSAT:
+                    with_core = cnf.copy()
+                    for lit in s.core():
+                        with_core.add_clause([lit])
+                    status, _ = brute_force_sat(with_core)
+                    assert status is SolveResult.UNSAT
 
     def test_contradictory_assumptions(self):
-        s = CdclSolver()
-        s.ensure_vars(1)
-        assert s.solve(assumptions=[1, -1]) is SolveResult.UNSAT
-        assert 1 in set(map(abs, s.core()))
+        for build in BUILDS.values():
+            s = build()
+            s.ensure_vars(1)
+            assert s.solve(assumptions=[1, -1]) is SolveResult.UNSAT
+            assert 1 in set(map(abs, s.core()))
 
 
 class TestBudgets:
@@ -104,54 +124,63 @@ class TestBudgets:
         # A hard random instance at the phase transition.
         rng = random.Random(1)
         n = 60
-        s = CdclSolver()
+        clauses = []
         for _ in range(int(4.26 * n)):
             clause = rng.sample(range(1, n + 1), 3)
-            s.add_clause([rng.choice([1, -1]) * v for v in clause])
-        result = s.solve(budget=Budget(max_conflicts=3))
-        assert result in (SolveResult.UNKNOWN, SolveResult.SAT,
-                          SolveResult.UNSAT)
-        # With a tiny budget on a hard instance UNKNOWN is expected;
-        # a solved outcome just means the instance was easy.
+            clauses.append([rng.choice([1, -1]) * v for v in clause])
+        for build in BUILDS.values():
+            s = build()
+            s.add_clauses(clauses)
+            result = s.solve(budget=Budget(max_conflicts=3))
+            assert result in (SolveResult.UNKNOWN, SolveResult.SAT,
+                              SolveResult.UNSAT)
+            # With a tiny budget on a hard instance UNKNOWN is
+            # expected; a solved outcome just means the instance was
+            # easy.
 
     def test_memory_budget(self):
         rng = random.Random(2)
         n = 50
-        s = CdclSolver()
+        clauses = []
         for _ in range(int(4.26 * n)):
             clause = rng.sample(range(1, n + 1), 3)
-            s.add_clause([rng.choice([1, -1]) * v for v in clause])
-        result = s.solve(budget=Budget(max_literals=10))
-        assert result is SolveResult.UNKNOWN
+            clauses.append([rng.choice([1, -1]) * v for v in clause])
+        for build in BUILDS.values():
+            s = build()
+            s.add_clauses(clauses)
+            result = s.solve(budget=Budget(max_literals=10))
+            assert result is SolveResult.UNKNOWN
 
 
 class TestGroupsAndPurge:
     def test_group_retirement_reclaims_clauses(self):
-        s = CdclSolver()
-        g = s.new_var()
-        x = s.new_var()
-        s.add_clause([-g, x])
-        s.add_clause([-g, -x])
-        assert s.solve(assumptions=[g]) is SolveResult.UNSAT
-        assert s.solve() is SolveResult.SAT
-        s.add_clause([-g])
-        purged = s.purge_satisfied()
-        assert purged >= 2
-        assert s.solve() is SolveResult.SAT
+        for build in BUILDS.values():
+            s = build()
+            g = s.new_var()
+            x = s.new_var()
+            s.add_clause([-g, x])
+            s.add_clause([-g, -x])
+            assert s.solve(assumptions=[g]) is SolveResult.UNSAT
+            assert s.solve() is SolveResult.SAT
+            s.add_clause([-g])
+            purged = s.purge_satisfied()
+            assert purged >= 2
+            assert s.solve() is SolveResult.SAT
 
     def test_purge_keeps_semantics(self):
         rng = random.Random(3)
-        s = CdclSolver()
         n = 10
         cnf = CNF(n)
         for _ in range(30):
             clause = [rng.choice([1, -1]) * rng.randint(1, n)
                       for _ in range(3)]
             cnf.add_clause(clause)
-        s.add_clauses(cnf.clauses)
-        expected = s.solve()
-        s.purge_satisfied()
-        assert s.solve() is expected
+        for build in BUILDS.values():
+            s = build()
+            s.add_clauses(cnf.clauses)
+            expected = s.solve()
+            s.purge_satisfied()
+            assert s.solve() is expected
 
 
 class TestRandomizedAgainstBruteForce:
@@ -165,28 +194,32 @@ class TestRandomizedAgainstBruteForce:
                           for _ in range(rng.randint(1, 4))]
                 cnf.add_clause(clause)
             expected, _ = brute_force_sat(cnf)
-            s = CdclSolver()
-            s.add_clauses(cnf.clauses)
-            got = s.solve()
-            assert got is expected, f"trial {trial}"
-            if got is SolveResult.SAT:
-                model = {v: bool(s.model_value(v))
-                         for v in range(1, n + 1)}
-                assert cnf.evaluate(model)
+            for name, build in BUILDS.items():
+                s = build()
+                s.add_clauses(cnf.clauses)
+                got = s.solve()
+                assert got is expected, (trial, name)
+                if got is SolveResult.SAT:
+                    model = {v: bool(s.model_value(v))
+                             for v in range(1, n + 1)}
+                    assert cnf.evaluate(model)
+                elif s.proof is not None:
+                    assert s.proof.check_refutation(s.empty_clause_proof)
 
     def test_incremental_clause_addition(self):
         rng = random.Random(5)
         for _ in range(40):
             n = rng.randint(2, 8)
-            s = CdclSolver()
+            solvers = [build() for build in BUILDS.values()]
             cnf = CNF(n)
             for _ in range(12):
                 clause = [rng.choice([1, -1]) * rng.randint(1, n)
                           for _ in range(rng.randint(1, 3))]
                 cnf.add_clause(clause)
-                s.add_clause(clause)
                 expected, _ = brute_force_sat(cnf)
-                assert s.solve() is expected
+                for s in solvers:
+                    s.add_clause(clause)
+                    assert s.solve() is expected
                 if expected is SolveResult.UNSAT:
                     break
 
@@ -196,68 +229,78 @@ class TestInternals:
         for lit in (1, -1, 5, -17):
             assert from_internal(to_internal(lit)) == lit
 
-    def test_luby_sequence(self):
-        expected = [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
-        assert [luby(i) for i in range(1, 16)] == expected
-
     def test_tri_valued_result_guards_bool(self):
         with pytest.raises(TypeError):
             bool(SolveResult.SAT)
 
     def test_stats_counted(self):
-        s = CdclSolver()
-        s.add_clause([1, 2])
-        s.add_clause([-1, 2])
-        s.add_clause([1, -2])
-        s.add_clause([-1, -2, 3])
-        s.solve()
-        assert s.stats.solve_calls == 1
-        assert s.stats.propagations > 0
-        assert s.stats.peak_db_literals >= 9
+        for build in BUILDS.values():
+            s = build()
+            s.add_clause([1, 2])
+            s.add_clause([-1, 2])
+            s.add_clause([1, -2])
+            s.add_clause([-1, -2, 3])
+            s.solve()
+            assert s.stats.solve_calls == 1
+            assert s.stats.propagations > 0
+            assert s.stats.peak_db_literals >= 9
 
 
 class TestEngineStatsParity:
-    """Both engines expose the SAME observability surface: identical
+    """Both builds expose the SAME observability surface: identical
     counter names and identical ``sat.solve`` span fields, so dashboards
-    and bench harnesses never special-case the engine."""
+    and bench harnesses never special-case the build."""
 
     CNF_CLAUSES = [[1, 2], [-1, 2], [1, -2], [-1, -2, 3], [-3, 4]]
 
-    def _solved(self, engine):
-        from repro.sat.kernel import KernelSolver
-        s = {"reference": CdclSolver, "kernel": KernelSolver}[engine]()
+    @pytest.fixture(autouse=True)
+    def _needs_compiled(self):
+        if not compiled_available():
+            pytest.skip("no C compiler for the compiled kernel core")
+
+    def _solved(self, monkeypatch, backend):
+        """A proof-free solver of ``backend`` that has solved the CNF."""
+        with monkeypatch.context() as m:
+            if backend == "interpreted":
+                m.setenv(CORE_ENV, "off")
+            else:
+                m.delenv(CORE_ENV, raising=False)
+            s = KernelSolver()
+        assert s.backend == backend
         for clause in self.CNF_CLAUSES:
             s.add_clause(clause)
         assert s.solve() is SolveResult.SAT
         return s
 
-    def test_counter_names_identical(self):
-        ref = self._solved("reference")
-        ker = self._solved("kernel")
-        assert set(ker.stats.as_dict()) == set(ref.stats.as_dict())
-        for s in (ref, ker):
+    def test_counter_names_identical(self, monkeypatch):
+        interpreted = self._solved(monkeypatch, "interpreted")
+        compiled = self._solved(monkeypatch, "compiled")
+        assert set(compiled.stats.as_dict()) == \
+            set(interpreted.stats.as_dict())
+        for s in (interpreted, compiled):
             d = s.stats.as_dict()
             assert d["propagations"] > 0
             assert d["db_literals"] > 0
             assert d["peak_db_literals"] >= d["db_literals"]
             assert s.stats.solve_calls == 1
 
-    def test_solve_span_fields_identical(self):
+    def test_solve_span_fields_identical(self, monkeypatch):
         from repro.telemetry import (MetricsRegistry, Tracer, set_metrics,
                                      set_tracer)
         tracer, registry = Tracer(), MetricsRegistry()
         prev_tracer = set_tracer(tracer)
         prev_metrics = set_metrics(registry)
         try:
-            self._solved("reference")
-            self._solved("kernel")
+            self._solved(monkeypatch, "interpreted")
+            self._solved(monkeypatch, "compiled")
         finally:
             set_tracer(prev_tracer)
             set_metrics(prev_metrics)
         solves = [e for e in tracer.events() if e["name"] == "sat.solve"]
-        by_engine = {e["args"]["engine"]: e for e in solves}
-        assert set(by_engine) == {"reference", "kernel"}
-        assert (set(by_engine["reference"]["args"])
-                == set(by_engine["kernel"]["args"]))
-        for event in by_engine.values():
+        by_core = {e["args"]["core"]: e for e in solves}
+        assert set(by_core) == {"interpreted", "compiled"}
+        assert (set(by_core["interpreted"]["args"])
+                == set(by_core["compiled"]["args"]))
+        for event in by_core.values():
             assert event["args"]["result"] == "SAT"
+            assert "engine" not in event["args"]

@@ -15,13 +15,12 @@ import gc
 import threading
 import time
 import warnings
-from types import SimpleNamespace
 
 import pytest
 
 from repro import cli
 from repro.serve import (FairQueue, Job, ProtocolError,
-                         ServeClient, ServeDaemon, ServeError,
+                         ServeClient, ServeError,
                          decode_line, encode_line, validate_request)
 
 # A job that keeps a worker busy until cancelled: QDPLL on the
@@ -154,48 +153,18 @@ class TestFairQueue:
 # ----------------------------------------------------------------------
 # End-to-end daemon
 # ----------------------------------------------------------------------
-def _start_daemon(tmp_path, **kwargs):
-    sock = str(tmp_path / "repro.sock")
-    # sim_tier off by default: these tests exercise the queue /
-    # coalesce / cancel machinery, which the simulation pre-solve
-    # tier would answer before a job ever queues.  The sim tier
-    # itself is covered in tests/test_sim.py.
-    kwargs.setdefault("sim_tier", False)
-    daemon = ServeDaemon(socket_path=sock, **kwargs)
-    thread = threading.Thread(target=daemon.run, daemon=True)
-    thread.start()
-    deadline = time.time() + 10
-    import os
-    while not os.path.exists(sock):
-        assert time.time() < deadline, "daemon never bound its socket"
-        time.sleep(0.02)
-    return SimpleNamespace(socket=sock, daemon=daemon, thread=thread)
-
-
-def _stop_daemon(handle) -> None:
-    if handle.thread.is_alive():
-        try:
-            with ServeClient(socket_path=handle.socket) as c:
-                c.shutdown()
-        except Exception:
-            pass
-    handle.thread.join(timeout=20)
-    assert not handle.thread.is_alive(), "daemon failed to shut down"
+# sim_tier off: these tests exercise the queue / coalesce / cancel
+# machinery, which the simulation pre-solve tier would answer before a
+# job ever queues.  The sim tier itself is covered in tests/test_sim.py.
+@pytest.fixture
+def served(serve_daemon):
+    return serve_daemon(sim_tier=False, jobs=2)
 
 
 @pytest.fixture
-def served(tmp_path):
-    handle = _start_daemon(tmp_path, jobs=2)
-    yield handle
-    _stop_daemon(handle)
-
-
-@pytest.fixture
-def served_single(tmp_path):
+def served_single(serve_daemon):
     """One-worker daemon: queueing behaviour is deterministic."""
-    handle = _start_daemon(tmp_path, jobs=1, max_queued=3)
-    yield handle
-    _stop_daemon(handle)
+    return serve_daemon(sim_tier=False, jobs=1, max_queued=3)
 
 
 class TestDaemonBasics:
@@ -416,50 +385,41 @@ class TestBudgets:
 
 
 class TestServeCli:
-    def test_submit_wait_and_status(self, tmp_path, capsys):
-        handle = _start_daemon(tmp_path, jobs=1)
-        try:
-            rc = cli.main(["submit", "counter", "-k", "9",
-                           "--method", "jsat", "--socket",
-                           handle.socket, "--wait"])
-            out = capsys.readouterr().out
-            assert rc == 0
-            assert "SAT" in out and "trace of length 9" in out
+    def test_submit_wait_and_status(self, serve_daemon, capsys):
+        handle = serve_daemon(sim_tier=False, jobs=1)
+        rc = cli.main(["submit", "counter", "-k", "9",
+                       "--method", "jsat", "--socket",
+                       handle.socket, "--wait"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "SAT" in out and "trace of length 9" in out
 
-            rc = cli.main(["status", "--socket", handle.socket])
-            out = capsys.readouterr().out
-            assert rc == 0
-            assert "workers: 1" in out and "completed" in out
-        finally:
-            _stop_daemon(handle)
+        rc = cli.main(["status", "--socket", handle.socket])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "workers: 1" in out and "completed" in out
 
-    def test_follow_streams_bounds(self, tmp_path, capsys):
-        handle = _start_daemon(tmp_path, jobs=1)
-        try:
-            rc = cli.main(["submit", "counter", "-k", "9", "--sweep",
-                           "--method", "sat-incremental",
-                           "--socket", handle.socket, "--follow"])
-            out = capsys.readouterr().out
-            assert rc == 0
-            assert "k=0" in out and "SAT" in out
-        finally:
-            _stop_daemon(handle)
+    def test_follow_streams_bounds(self, serve_daemon, capsys):
+        handle = serve_daemon(sim_tier=False, jobs=1)
+        rc = cli.main(["submit", "counter", "-k", "9", "--sweep",
+                       "--method", "sat-incremental",
+                       "--socket", handle.socket, "--follow"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "k=0" in out and "SAT" in out
 
-    def test_cancel_verb(self, tmp_path, capsys):
-        handle = _start_daemon(tmp_path, jobs=1)
-        try:
-            rc = cli.main(["submit", "mutex", "-k", "8",
-                           "--method", "qbf-squaring", "--no-reduce",
-                           "--socket", handle.socket])
-            out = capsys.readouterr().out
-            assert rc == 0
-            job = out.split()[1].rstrip(":")
-            rc = cli.main(["cancel", job, "--socket", handle.socket])
-            out = capsys.readouterr().out
-            assert rc == 0
-            assert "cancel" in out
-        finally:
-            _stop_daemon(handle)
+    def test_cancel_verb(self, serve_daemon, capsys):
+        handle = serve_daemon(sim_tier=False, jobs=1)
+        rc = cli.main(["submit", "mutex", "-k", "8",
+                       "--method", "qbf-squaring", "--no-reduce",
+                       "--socket", handle.socket])
+        out = capsys.readouterr().out
+        assert rc == 0
+        job = out.split()[1].rstrip(":")
+        rc = cli.main(["cancel", job, "--socket", handle.socket])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "cancel" in out
 
     def test_connection_refused_is_friendly(self, tmp_path, capsys):
         rc = cli.main(["status", "--socket",
