@@ -109,7 +109,9 @@ def _interpreted():
 
 def bench_compiled_vs_interpreted_speedup(benchmark):
     """Perf guard: the compiled kernel build must aggregate >= 6x over
-    the interpreted build across the CDCL micro workloads above; fails
+    the interpreted build across the CDCL micro workloads above, and
+    reach >= 1.5x on each of them (pigeonhole dominates the aggregate,
+    so the floor keeps a slow workload from hiding behind it); fails
     when no compiled core loads.
 
     Records per-workload wall seconds and speedups via
@@ -178,20 +180,25 @@ def bench_compiled_vs_interpreted_speedup(benchmark):
         for name, times in table.items()
         for build, seconds in times.items()
     }
-    _emit_payload.update({
-        f"{name}_speedup": round(
-            times["interpreted"] / max(times["compiled"], 1e-9), 2)
-        for name, times in table.items()
-    })
+    speedups = {name: times["interpreted"] / max(times["compiled"], 1e-9)
+                for name, times in table.items()}
+    _emit_payload.update({f"{name}_speedup": round(speedup, 2)
+                          for name, speedup in speedups.items()})
     try:
         import _emit
         _emit.record(aggregate_speedup=round(aggregate, 2),
-                     guard_min_speedup=6.0, **_emit_payload)
+                     guard_min_speedup=6.0,
+                     guard_min_workload_speedup=1.5, **_emit_payload)
     except ImportError:      # pytest run without benchmarks/ on path
         pass
     assert aggregate >= 6.0, (
         f"compiled kernel only {aggregate:.2f}x over interpreted "
         f"(guard: >=6x aggregate)")
+    slow = {name: round(speedup, 2) for name, speedup in speedups.items()
+            if speedup < 1.5}
+    assert not slow, (
+        f"compiled kernel below 1.5x over interpreted on {slow} "
+        f"(guard: >=1.5x per workload)")
 
 
 def bench_qdpll_small_2qbf(benchmark):

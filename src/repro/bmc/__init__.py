@@ -14,8 +14,7 @@ from .backend import (ALL_METHODS, METHODS, Backend, BackendOptions,
                       unregister_backend, validate_method)
 from .completeness import (UnboundedResult, longest_simple_path_reached,
                            verify_unbounded)
-from .incremental import (BoundResult, IncrementalBmc, SweepBudget,
-                          SweepResult)
+from .incremental import BoundResult, IncrementalBmc, SweepResult
 from .induction import InductionResult, prove_by_induction
 from .interpolation import InterpolationResult, prove_by_interpolation
 from .jsat import JsatSolver, JsatStats
@@ -44,7 +43,6 @@ __all__ = [
     "BmcResult",
     "SweepResult",
     "BoundResult",
-    "SweepBudget",
     "IncrementalBmc",
     "verify_unbounded",
     "UnboundedResult",

@@ -53,7 +53,7 @@ __all__ = ["BmcResult", "Backend", "BackendOptions", "register_backend",
            "fan_out_options", "registered_backends", "validate_method",
            "require_prover",
            "MethodsView", "METHODS", "ALL_METHODS", "SEMANTICS",
-           "BoundResult", "SweepResult", "SweepBudget", "emit_bound",
+           "BoundResult", "SweepResult", "emit_bound",
            "drive_sweep"]
 
 SEMANTICS = ("exact", "within")
@@ -223,64 +223,6 @@ class SweepResult:
                 f"{self.seconds * 1e3:.1f} ms)")
 
 
-class SweepBudget:
-    """A resource budget shared by every bound of one sweep.
-
-    Wall-clock is tracked against a single deadline; the deterministic
-    limits (conflicts / decisions / propagations) form a pool that each
-    bound's query draws down.  ``remaining()`` hands out a per-query
-    :class:`Budget` of whatever is left; callers report consumption via
-    :meth:`charge`.
-    """
-
-    def __init__(self, budget: Budget | None) -> None:
-        self.budget = budget
-        self._deadline: Optional[float] = None
-        self._conflicts_left: Optional[int] = None
-        self._decisions_left: Optional[int] = None
-        self._propagations_left: Optional[int] = None
-        if budget is not None:
-            if budget.max_seconds is not None:
-                self._deadline = time.monotonic() + budget.max_seconds
-            self._conflicts_left = budget.max_conflicts
-            self._decisions_left = budget.max_decisions
-            self._propagations_left = budget.max_propagations
-
-    def charge(self, conflicts: int = 0, decisions: int = 0,
-               propagations: int = 0) -> None:
-        """Deduct one bound's consumption from the pools."""
-        if self._conflicts_left is not None:
-            self._conflicts_left -= conflicts
-        if self._decisions_left is not None:
-            self._decisions_left -= decisions
-        if self._propagations_left is not None:
-            self._propagations_left -= propagations
-
-    def exhausted(self) -> bool:
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            return True
-        for left in (self._conflicts_left, self._decisions_left,
-                     self._propagations_left):
-            if left is not None and left <= 0:
-                return True
-        return False
-
-    def remaining(self) -> Budget | None:
-        """A budget covering whatever the sweep has left (None = no cap)."""
-        if self.budget is None:
-            return None
-        seconds = None
-        if self._deadline is not None:
-            seconds = max(1e-3, self._deadline - time.monotonic())
-        def _floor(left: Optional[int]) -> Optional[int]:
-            return None if left is None else max(1, left)
-        return Budget(max_conflicts=_floor(self._conflicts_left),
-                      max_decisions=_floor(self._decisions_left),
-                      max_propagations=_floor(self._propagations_left),
-                      max_seconds=seconds,
-                      max_literals=self.budget.max_literals)
-
-
 def emit_bound(per_bound: List[BoundResult], on_bound, k: int,
                status: SolveResult, trace: Optional[Trace],
                seconds: float, sweep_start: float,
@@ -309,45 +251,42 @@ def drive_sweep(method: str, max_k: int, bounds,
                 on_bound=None,
                 after_unsat: Callable[[int], None] | None = None
                 ) -> SweepResult:
-    """Run one bound ladder under a shared :class:`SweepBudget` — the
-    loop every sweep implementation shares.
+    """Run one bound ladder under one started budget — the loop every
+    sweep implementation shares.
 
-    ``check(k, remaining)`` answers one bound and returns
+    ``check(k, budget)`` answers one bound and returns
     ``(status, trace, stats)`` — or ``(status, trace, stats, proved)``
     from a prover backend whose bound-k refutation may close an
     unbounded proof; ``bounds`` is the ladder (ascending integers for
     the linear sweep, the squaring schedule for formula (3));
     ``after_unsat(k)`` runs after each refuted bound (the incremental
     driver retires the bound's final-constraint group there).  The
-    ladder stops at the first non-UNSAT answer or the first proved
-    bound; an exhausted budget records an UNKNOWN for the bound it
-    would have run next.
+    budget is started once and every bound draws from it (its solvers
+    spend what they use), so the whole ladder shares one deadline and
+    one set of pools.  The ladder stops at the first non-UNSAT answer
+    or the first proved bound; an exhausted budget records an UNKNOWN
+    for the bound it would have run next.
     """
     tracer = current_tracer()
     registry = current_metrics()
-    tracker = SweepBudget(budget)
+    if budget is not None:
+        budget = budget.start()
     per_bound: List[BoundResult] = []
     sweep_start = time.perf_counter()
     for k in bounds:
-        if tracker.exhausted():
+        if budget is not None and budget.exhausted():
             emit_bound(per_bound, on_bound, k, SolveResult.UNKNOWN,
                        None, 0.0, sweep_start, {})
             break
         bound_start = time.perf_counter()
         with tracer.span("bmc.bound", method=method, k=k) as sp:
-            answer = check(k, tracker.remaining())
+            answer = check(k, budget)
             status, trace, stats = answer[:3]
             proved = bool(answer[3]) if len(answer) > 3 else False
             sp.set(status=status.name)
             if proved:
                 sp.set(proved=True)
         registry.inc("bmc.bounds_checked")
-        tracker.charge(
-            conflicts=stats.get("solver_conflicts",
-                                stats.get("sat_conflicts", 0)),
-            decisions=stats.get("solver_decisions", 0),
-            propagations=stats.get("solver_propagations",
-                                   stats.get("sat_propagations", 0)))
         emit_bound(per_bound, on_bound, k, status, trace,
                    time.perf_counter() - bound_start, sweep_start, stats,
                    proved=proved)

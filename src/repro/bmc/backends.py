@@ -38,7 +38,7 @@ from .incremental import IncrementalBmc
 from .jsat import JsatSolver
 from .qbf_encoding import encode_qbf
 from .squaring import encode_squaring
-from .unroll import encode_unrolled
+from .unroll import SOLVER_COUNTERS, encode_unrolled
 
 __all__ = ["SatUnrollBackend", "SatIncrementalBackend", "QbfBackend",
            "QbfSquaringBackend", "JsatBackend", "PortfolioBackend",
@@ -68,9 +68,12 @@ def _check_unroll_once(system, final, k: int, semantics: str,
                        polarity_reduction: bool = False) -> BmcResult:
     """One formula-(1) query (also the k = 0 fallback for the QBF
     encodings, which need at least one step)."""
+    if budget is not None:
+        budget = budget.start()
     encoding = encode_unrolled(system, final, k, semantics,
-                               polarity_reduction=polarity_reduction)
-    if not encoding.complete:        # a stop request cut encoding short
+                               polarity_reduction=polarity_reduction,
+                               budget=budget)
+    if not encoding.complete:        # a stop or the budget cut encoding
         return BmcResult(SolveResult.UNKNOWN, None, k, "sat-unroll", 0.0,
                          encoding.stats())
     solver = make_solver()
@@ -466,6 +469,11 @@ class PortfolioBackend(Backend):
                        prover_max_k=self.options.prover_max_k,
                        **dict(self.options.shared_options or {}))
         result = outcome.result
+        if budget is not None:
+            # The one remote charge: lanes solve in other processes, so
+            # the winner's counters are spent here.
+            budget.spend(*(result.stats.get(key, 0)
+                           for key in SOLVER_COUNTERS))
         result.stats["portfolio_cancel_latency_ms"] = int(
             outcome.cancel_latency * 1e3)
         return result

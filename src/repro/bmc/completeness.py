@@ -65,6 +65,8 @@ def longest_simple_path_reached(system: TransitionSystem, k: int,
     """
     if k < 0:
         return False
+    if budget is not None:
+        budget = budget.start()
     unrolling = Unrolling(system)
     if not unrolling.ensure_frames(k, budget):
         return None
@@ -88,10 +90,10 @@ def verify_unbounded(system: TransitionSystem, final: Expr,
     this procedure wants.
     """
     if budget is not None:
-        budget.arm()        # one wall-clock slice for the whole loop
+        budget = budget.start()     # one pool for the whole loop
     with BmcSession(system, properties={"target": final}) as session:
         for k in range(max_bound + 1):
-            if budget is not None and budget.expired():
+            if budget is not None and budget.exhausted():
                 return UnboundedResult("unknown", k, None)
             result = session.check(k, method=method, semantics="exact",
                                    budget=budget)

@@ -37,12 +37,11 @@ from ..system.trace import Trace
 # The sweep record types and the shared ladder loop live with the
 # Backend protocol; re-exported here for the callers that historically
 # imported them from this module.
-from .backend import (BoundResult, SweepBudget, SweepResult,  # noqa: F401
+from .backend import (BoundResult, SweepResult,  # noqa: F401
                       drive_sweep, emit_bound)
 from .unroll import SOLVER_COUNTERS, Unrolling, low_driver
 
-__all__ = ["IncrementalBmc", "BoundResult", "SweepResult", "SweepBudget",
-           "emit_bound"]
+__all__ = ["IncrementalBmc", "BoundResult", "SweepResult", "emit_bound"]
 
 
 class IncrementalBmc(Unrolling):
@@ -103,11 +102,13 @@ class IncrementalBmc(Unrolling):
         witness on SAT.  The bound may be queried repeatedly; a bound
         *below* the frames already encoded is answered by the auxiliary
         low driver (:func:`~repro.bmc.unroll.low_driver`).  UNKNOWN
-        without encoding further frames when a stop request or the
-        budget's armed deadline fires during encoding.
+        without encoding further frames when a stop request fires or
+        the budget runs out during encoding.
         """
         if k < 0:
             raise ValueError("bound k must be non-negative")
+        if budget is not None:
+            budget = budget.start()
         if k < self.k:
             self._low = low_driver(self._low, k, self._twin)
             return self._low.check_bound(k, budget=budget)
@@ -156,8 +157,7 @@ class IncrementalBmc(Unrolling):
         """Sweep bounds 0..max_k; stop at the shortest counterexample.
 
         The budget is global across the whole sweep (one deadline, one
-        conflict pool), mirroring how a fresh per-bound run would split
-        the same resources.  ``on_bound`` (an ``on_bound(BoundResult)``
+        set of pools; see :func:`drive_sweep`).  ``on_bound`` (an ``on_bound(BoundResult)``
         callable) streams each bound's record as it lands — the
         progress hook :class:`repro.bmc.session.BmcSession` exposes.
         """

@@ -28,15 +28,15 @@ from typing import Optional, Tuple
 from ..logic import expr as ex
 from ..logic.cnf import CNF, VarPool
 from ..logic.expr import Expr
-from ..logic.tseitin import TseitinEncoder, expr_to_cnf
+from ..logic.tseitin import TseitinEncoder
 from ..sat.interpolation import compute_interpolant
 from ..sat.kernel import make_solver
 from ..sat.proof import ResolutionProof
 from ..sat.types import Budget, SolveResult
 from ..system.model import TransitionSystem
 from ..system.trace import Trace
-from .unroll import frame_name, read_trace, register_frame, state_frame, \
-    transition
+from .unroll import (frame_name, read_trace, register_frame, solve_expr,
+                     state_frame, transition)
 
 __all__ = ["InterpolationResult", "prove_by_interpolation"]
 
@@ -58,15 +58,12 @@ class InterpolationResult:
                 f"iterations={self.iterations})")
 
 
-def _implies(antecedent: Expr, consequent: Expr) -> bool:
-    """Validity of antecedent -> consequent via one SAT call."""
+def _implies(antecedent: Expr, consequent: Expr,
+             budget: Budget | None = None) -> bool:
+    """Validity of antecedent -> consequent via one SAT call.  UNKNOWN
+    (budget exhausted) reads as "not implied", which is sound."""
     query = ex.mk_and(antecedent, ex.mk_not(consequent))
-    cnf, _ = expr_to_cnf(query)
-    solver = make_solver()
-    solver.ensure_vars(cnf.num_vars)
-    if not solver.add_clauses(cnf.clauses):
-        return True
-    return solver.solve() is SolveResult.UNSAT
+    return solve_expr(query, budget)[0] is SolveResult.UNSAT
 
 
 def _bounded_query(system: TransitionSystem, reach: Expr, bad: Expr,
@@ -149,11 +146,11 @@ def prove_by_interpolation(system: TransitionSystem, bad: Expr,
     backend = InterpolationBackend(system, bad,
                                    max_iterations=max_iterations)
     if budget is not None:
-        budget.arm()        # one wall-clock slice shared by all rungs
+        budget = budget.start()     # one pool shared by all rungs
     iterations = 0
     try:
         for k in range(max_k + 1):
-            if budget is not None and budget.expired():
+            if budget is not None and budget.exhausted():
                 return InterpolationResult("unknown", k, iterations)
             result = backend.check(k, semantics="within", budget=budget)
             iterations += result.stats.get("itp_iterations", 0)

@@ -44,7 +44,6 @@ experiment E7.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..logic.cnf import CNF, VarPool
@@ -135,10 +134,7 @@ class JsatSolver:
         self.purge_interval = max(1, purge_interval)
         self.stats = JsatStats()
         self._trace: Optional[Trace] = None
-        self._deadline: Optional[float] = None
-        self._budget = Budget.unlimited()
-        self._conflicts_at_start = 0
-        self._props_at_start = 0
+        self._budget: Budget | None = None
         # The no-good facts are bound-independent ("no completion from
         # this state with r steps remaining" says nothing about k), so
         # they live for the solver's lifetime and keep paying off when
@@ -211,19 +207,12 @@ class JsatSolver:
         """Run the jSAT search.
 
         Returns SAT (path exists; :meth:`trace` yields it), UNSAT, or
-        UNKNOWN on budget exhaustion.  Budgets are global across all
-        internal window queries.
+        UNKNOWN on budget exhaustion.  The budget is started once and
+        passed to every internal window query, so all of them draw from
+        one deadline and one set of pools (a budget that is already
+        started is shared with the caller).
         """
-        self._budget = budget or Budget.unlimited()
-        if self._budget.deadline is not None:
-            # An armed budget shares one deadline across calls.
-            self._deadline = self._budget.deadline
-        else:
-            self._deadline = (time.monotonic() + self._budget.max_seconds
-                              if self._budget.max_seconds is not None
-                              else None)
-        self._conflicts_at_start = self.solver.stats.conflicts
-        self._props_at_start = self.solver.stats.propagations
+        self._budget = None if budget is None else budget.start()
         self._trace = None
         try:
             return self._search()
@@ -254,42 +243,9 @@ class JsatSolver:
     # ==================================================================
     # Search
     # ==================================================================
-    def _query_budget(self) -> Budget:
-        b = self._budget
-        seconds = None
-        if self._deadline is not None:
-            seconds = max(1e-3, self._deadline - time.monotonic())
-        conflicts = None
-        if b.max_conflicts is not None:
-            used = self.solver.stats.conflicts - self._conflicts_at_start
-            conflicts = max(1, b.max_conflicts - used)
-        propagations = None
-        if b.max_propagations is not None:
-            used = self.solver.stats.propagations - self._props_at_start
-            propagations = max(1, b.max_propagations - used)
-        return Budget(max_seconds=seconds, max_conflicts=conflicts,
-                      max_propagations=propagations,
-                      max_literals=b.max_literals)
-
-    def _out_of_budget(self) -> bool:
-        b = self._budget
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            return True
-        if b.max_conflicts is not None and \
-                self.solver.stats.conflicts - self._conflicts_at_start \
-                >= b.max_conflicts:
-            return True
-        if b.max_propagations is not None and \
-                self.solver.stats.propagations - self._props_at_start \
-                >= b.max_propagations:
-            return True
-        return False
-
     def _run_query(self, assumptions: List[int]) -> SolveResult:
         self.stats.queries += 1
-        if self._out_of_budget():
-            raise BudgetExceeded("global budget")
-        result = self.solver.solve(assumptions, budget=self._query_budget())
+        result = self.solver.solve(assumptions, budget=self._budget)
         self.stats.sat_conflicts = self.solver.stats.conflicts
         self.stats.sat_propagations = self.solver.stats.propagations
         if result is SolveResult.UNKNOWN:

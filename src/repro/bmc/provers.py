@@ -39,8 +39,6 @@ from typing import Dict, Optional
 
 from ..logic import expr as ex
 from ..logic.expr import Expr
-from ..logic.tseitin import expr_to_cnf
-from ..sat.kernel import make_solver
 from ..sat.types import Budget, SolveResult
 from ..system.model import TransitionSystem
 from ..system.trace import Trace
@@ -48,7 +46,8 @@ from .backend import (Backend, BackendOptions, BmcResult, OnBound,
                       SweepResult, drive_sweep, register_backend)
 from .incremental import IncrementalBmc
 from .interpolation import _bounded_query, _implies
-from .unroll import SOLVER_COUNTERS, Unrolling, state_frame, transition
+from .unroll import (SOLVER_COUNTERS, Unrolling, solve_expr, state_frame,
+                     transition)
 
 __all__ = ["KInductionBackend", "InterpolationBackend", "DiameterBackend",
            "KInductionOptions", "InterpolationOptions", "DiameterOptions",
@@ -78,15 +77,9 @@ def validate_invariant(system: TransitionSystem, bad: Expr,
                       transition(system, 0)),
             system.rename_state_expr(ex.mk_not(invariant), f1)),
     )
-    for query in queries:
-        cnf, _ = expr_to_cnf(query)
-        solver = make_solver()
-        solver.ensure_vars(cnf.num_vars)
-        if not solver.add_clauses(cnf.clauses):
-            continue                        # vacuously UNSAT
-        if solver.solve() is not SolveResult.UNSAT:
-            return False
-    return True
+    # Unbudgeted: a certificate check must be definite.
+    return all(solve_expr(query)[0] is SolveResult.UNSAT
+               for query in queries)
 
 
 def _accumulate(totals: Dict[str, int], stats: Dict[str, int]) -> None:
@@ -175,7 +168,7 @@ class _LadderProver(_ProverBackend):
               budget: Budget | None = None) -> BmcResult:
         self._require_within(semantics)
         if budget is not None:
-            budget.arm()              # one slice across all rungs
+            budget = budget.start()   # one pool across all rungs
         cached = self._cached(k)
         if cached is not None:
             return cached
@@ -298,20 +291,12 @@ class InterpolationBackend(_ProverBackend):
         """Depth-0: an initial state may already be bad."""
         if self._init_safe:
             return None
-        init_bad = ex.mk_and(self.system.init, self.final)
-        cnf, pool = expr_to_cnf(init_bad)
-        solver = make_solver()
-        solver.ensure_vars(cnf.num_vars)
-        loaded = solver.add_clauses(cnf.clauses)
-        status = solver.solve(budget=budget) if loaded else \
-            SolveResult.UNSAT
+        status, bit = solve_expr(ex.mk_and(self.system.init, self.final),
+                                 budget)
         if status is SolveResult.UNKNOWN:
             return self.result(SolveResult.UNKNOWN, None, 0, {})
         if status is SolveResult.SAT:
-            state = {v: bool(solver.model_value(pool.lookup(v)))
-                     if pool.lookup(v) is not None else False
-                     for v in self.system.state_vars}
-            self._cex = Trace([state])
+            self._cex = Trace([{v: bit(v) for v in self.system.state_vars}])
             return self.result(SolveResult.SAT, self._cex, 0, {})
         self._init_safe = True
         return None
@@ -320,7 +305,7 @@ class InterpolationBackend(_ProverBackend):
               budget: Budget | None = None) -> BmcResult:
         self._require_within(semantics)
         if budget is not None:
-            budget.arm()              # one slice across all iterations
+            budget = budget.start()   # one pool across all iterations
         cached = self._cached(k)
         if cached is not None:
             return cached
@@ -355,7 +340,7 @@ class InterpolationBackend(_ProverBackend):
             if is_initial:
                 bounded_unsat = True
             assert itp is not None
-            if _implies(itp, reach):
+            if _implies(itp, reach, budget):
                 self._proved = True
                 self._invariant = reach
                 return self.result(SolveResult.UNSAT, None, k, stats,

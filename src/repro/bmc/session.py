@@ -322,6 +322,7 @@ class BmcSession:
         is the first SAT result (or None) and ``history`` records every
         iteration — experiment E3 reads the iteration counts from it.
         The hit's witness trace is debug-validated by :meth:`check`.
+        The budget is global across every iteration.
         """
         backend = self.backend(method, **options)   # validates up front
         if strategy == "linear":
@@ -334,6 +335,8 @@ class BmcSession:
             raise ValueError(f"unknown strategy {strategy!r}; "
                              f"pick 'linear' or 'squaring'")
         observer = on_bound or self.on_bound
+        if budget is not None:
+            budget = budget.start()
         history: List[BmcResult] = []
         start = time.perf_counter()
         for bound in bounds:

@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 from ..logic import expr as ex
 from ..logic.cnf import CNF, VarPool
 from ..logic.expr import Expr
-from ..logic.tseitin import TseitinEncoder
+from ..logic.tseitin import TseitinEncoder, expr_to_cnf
 from ..sat.kernel import make_solver
 from ..sat.types import Budget, SolveResult, stop_requested
 from ..system.model import TransitionSystem
@@ -36,7 +36,7 @@ from ..telemetry.trace import current_tracer
 
 __all__ = ["Unrolling", "UnrolledEncoding", "encode_unrolled",
            "frame_name", "state_frame", "transition", "register_frame",
-           "read_trace", "low_driver", "SOLVER_COUNTERS"]
+           "read_trace", "solve_expr", "low_driver", "SOLVER_COUNTERS"]
 
 #: The per-call solver work every client reports in its stats.
 SOLVER_COUNTERS = ("solver_conflicts", "solver_decisions",
@@ -100,6 +100,22 @@ def read_trace(system: TransitionSystem, pool: VarPool,
     inputs = [{v: bit(frame_name(v, i)) for v in system.input_vars}
               for i in range(k)]
     return Trace(states, inputs)
+
+
+def solve_expr(query: Expr, budget: Budget | None = None
+               ) -> Tuple[SolveResult, Callable[[str], bool]]:
+    """Decide one expression on a fresh solver (the one-shot query).
+
+    Returns the verdict and a reader of the SAT model by variable name
+    (False for a name the query does not mention).  A query whose
+    clauses already conflict on loading is UNSAT without a solver call.
+    """
+    cnf, pool = expr_to_cnf(query)
+    solver = make_solver()
+    solver.ensure_vars(cnf.num_vars)
+    status = (solver.solve(budget=budget) if solver.add_clauses(cnf.clauses)
+              else SolveResult.UNSAT)
+    return status, lambda name: _model_bit(pool, solver.model_value, name)
 
 
 Driver = TypeVar("Driver")
@@ -170,13 +186,13 @@ class Unrolling:
         """Grow the unrolling to k transition frames (append-only).
 
         Before each new frame, polls the process stop check and the
-        budget's armed deadline; returns False, without encoding
-        further frames, as soon as either fires.
+        (started) budget; returns False, without encoding further
+        frames, as soon as either says stop.
         """
         tracer = current_tracer()
         while self.k < k:
             if stop_requested() or (budget is not None
-                                    and budget.expired()):
+                                    and budget.exhausted()):
                 return False
             i = self.k
             with tracer.span("encode.frame", frame=i + 1) as sp:
@@ -305,13 +321,15 @@ class UnrolledEncoding:
     k:
         The bound.
     complete:
-        False when a stop request cut encoding short; ``cnf`` is then
-        a prefix of the formula and must not be solved.
+        False when a stop request or the (started) ``budget`` cut
+        encoding short; ``cnf`` is then a prefix of the formula and
+        must not be solved.
     """
 
     def __init__(self, system: TransitionSystem, final: Expr, k: int,
                  semantics: str = "exact",
-                 polarity_reduction: bool = False) -> None:
+                 polarity_reduction: bool = False,
+                 budget: Budget | None = None) -> None:
         if k < 0:
             raise ValueError("bound k must be non-negative")
         if semantics not in ("exact", "within"):
@@ -328,7 +346,7 @@ class UnrolledEncoding:
         self.cnf = unrolling.cnf
         with current_tracer().span("encode.unroll", k=k,
                                    semantics=semantics) as sp:
-            self.complete = unrolling.ensure_frames(k)
+            self.complete = unrolling.ensure_frames(k, budget)
             if self.complete:
                 if semantics == "exact":
                     target = unrolling.at(final, k)
@@ -365,6 +383,8 @@ class UnrolledEncoding:
 
 def encode_unrolled(system: TransitionSystem, final: Expr, k: int,
                     semantics: str = "exact",
-                    polarity_reduction: bool = False) -> UnrolledEncoding:
+                    polarity_reduction: bool = False,
+                    budget: Budget | None = None) -> UnrolledEncoding:
     """Build the formula (1) encoding for the given query."""
-    return UnrolledEncoding(system, final, k, semantics, polarity_reduction)
+    return UnrolledEncoding(system, final, k, semantics, polarity_reduction,
+                            budget)

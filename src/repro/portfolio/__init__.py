@@ -20,9 +20,8 @@ Layers (bottom up):
 
 from .cache import (MemoryCache, ResultCache, cell_key, fingerprint_expr,
                     fingerprint_system)
-from .ipc import (budget_from_dict, budget_to_dict, decode_outcome,
-                  encode_outcome, encode_sweep_outcome, execute_cell,
-                  make_cell_payload, outcome_to_result)
+from .ipc import (decode_outcome, encode_outcome, encode_sweep_outcome,
+                  execute_cell, make_cell_payload, outcome_to_result)
 from .pool import Task, WorkerPool, default_jobs
 from .race import DEFAULT_RACE_METHODS, RaceOutcome, race
 from .scheduler import BatchScheduler, hardness_estimate
@@ -35,5 +34,4 @@ __all__ = [
     "fingerprint_system",
     "make_cell_payload", "execute_cell", "encode_outcome",
     "encode_sweep_outcome", "decode_outcome", "outcome_to_result",
-    "budget_to_dict", "budget_from_dict",
 ]

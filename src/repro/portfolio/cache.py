@@ -27,7 +27,6 @@ from ..logic.program import Program
 from ..sat.types import Budget
 from ..system.model import TransitionSystem
 from ..telemetry.metrics import current_metrics
-from .ipc import budget_to_dict
 
 __all__ = ["fingerprint_expr", "fingerprint_system", "cell_key",
            "cacheable", "ResultCache", "MemoryCache"]
@@ -75,7 +74,7 @@ def cell_key(system: TransitionSystem, final: Expr, k: int, method: str,
         "k": k,
         "method": method,
         "semantics": semantics,
-        "budget": budget_to_dict(budget),
+        "budget": None if budget is None else budget.as_dict(),
         "options": sorted((options or {}).items()),
         "reduce": reduce,
     }

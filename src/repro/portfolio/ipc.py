@@ -24,15 +24,11 @@ from ..system.trace import Trace
 from ..telemetry.metrics import MetricsRegistry, current_metrics, set_metrics
 from ..telemetry.trace import NULL_TRACER, Tracer, current_tracer, set_tracer
 
-__all__ = ["budget_to_dict", "budget_from_dict", "make_cell_payload",
+__all__ = ["make_cell_payload",
            "execute_cell", "encode_outcome", "encode_sweep_outcome",
            "encode_trace", "decode_trace", "decode_outcome",
            "outcome_to_result", "strip_run_keys", "merge_telemetry",
            "set_progress_sink", "emit_progress"]
-
-_BUDGET_FIELDS = ("max_conflicts", "max_decisions", "max_propagations",
-                  "max_seconds", "max_literals")
-
 
 # ----------------------------------------------------------------------
 # Streaming progress (worker -> parent)
@@ -56,20 +52,6 @@ def emit_progress(data: Dict[str, Any]) -> None:
     """Push one plain-data progress record to the installed sink."""
     if _PROGRESS_SINK is not None:
         _PROGRESS_SINK(data)
-
-
-def budget_to_dict(budget: Optional[Budget]) -> Optional[Dict[str, Any]]:
-    """Budget -> plain dict (None stays None)."""
-    if budget is None:
-        return None
-    return {f: getattr(budget, f) for f in _BUDGET_FIELDS}
-
-
-def budget_from_dict(data: Optional[Dict[str, Any]]) -> Optional[Budget]:
-    """Inverse of :func:`budget_to_dict`."""
-    if data is None:
-        return None
-    return Budget(**{f: data.get(f) for f in _BUDGET_FIELDS})
 
 
 def make_cell_payload(system: TransitionSystem, final: Expr, k: int,
@@ -103,7 +85,7 @@ def make_cell_payload(system: TransitionSystem, final: Expr, k: int,
         "k": k,
         "method": method,
         "semantics": semantics,
-        "budget": budget_to_dict(budget),
+        "budget": None if budget is None else budget.as_dict(),
         "options": dict(options or {}),
         "reduce": reduce,
         "telemetry": telemetry,
@@ -158,7 +140,7 @@ def execute_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
                             sweep = session.sweep(
                                 payload["k"],
                                 method=payload["method"],
-                                budget=budget_from_dict(
+                                budget=Budget.from_dict(
                                     payload.get("budget")),
                                 on_bound=on_bound,
                                 **payload.get("options", {}))
@@ -169,7 +151,7 @@ def execute_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
                                 method=payload["method"],
                                 semantics=payload.get("semantics",
                                                       "exact"),
-                                budget=budget_from_dict(
+                                budget=Budget.from_dict(
                                     payload.get("budget")),
                                 **payload.get("options", {}))
                             outcome = encode_outcome(result)

@@ -246,8 +246,9 @@ def race(system: TransitionSystem, final: Expr, k: int,
     ``wall_timeout`` is the hard outer limit of each lane: the pool
     kills and respawns the worker of a lane that overruns it, and that
     lane reads "timeout".  It defaults to three times the budget's
-    ``max_seconds`` (plus setup slack) when that is set, else
-    unlimited.
+    seconds (plus setup slack) when that is set, else unlimited.
+    Lanes receive the budget's wire form (:meth:`Budget.as_dict`): a
+    started budget ships what it has left.
 
     ``methods`` may name any non-composite backend in the registry,
     custom ones included: a lane whose registered class is not the one
@@ -319,9 +320,9 @@ def race(system: TransitionSystem, final: Expr, k: int,
         # it (so induction/diameter have room to close the proof).
         prover_k = max(prover_max_k if prover_max_k is not None else 0,
                        2 * k + 16, 24, k)
-    if wall_timeout is None and budget is not None \
-            and budget.max_seconds is not None:
-        wall_timeout = budget.max_seconds * 3.0 + 1.0
+    seconds = None if budget is None else budget.as_dict()["max_seconds"]
+    if wall_timeout is None and seconds is not None:
+        wall_timeout = seconds * 3.0 + 1.0
     lanes = methods + ([prover] if prover is not None else [])
     per_method_options = fan_out_options(lanes, options,
                                          method_options or {})

@@ -35,7 +35,13 @@ class ExpansionSolver:
         self.peak_literals = 0
 
     def solve(self, budget: Budget | None = None) -> SolveResult:
-        """Expand all universals, then decide the remaining matrix with CDCL."""
+        """Expand all universals, then decide the remaining matrix with CDCL.
+
+        The budget is started once: expansion stops when it is
+        exhausted, and the final SAT call draws from the same pool.
+        """
+        if budget is not None:
+            budget = budget.start()
         prefix: List[Tuple[str, List[int]]] = [
             (q, list(vs)) for q, vs in self.pcnf.prefix if vs]
         clauses = [tuple(c) for c in self.pcnf.matrix.clauses]
@@ -70,7 +76,8 @@ class ExpansionSolver:
             total = sum(len(c) for c in clauses)
             if total > self.peak_literals:
                 self.peak_literals = total
-            if total > self.max_literals:
+            if total > self.max_literals or (budget is not None
+                                              and budget.exhausted()):
                 return SolveResult.UNKNOWN
 
         matrix = CNF(next_var - 1)

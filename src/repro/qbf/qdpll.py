@@ -74,20 +74,19 @@ class QdpllSolver:
         self._trail: List[_TrailEntry] = []
         self._clauses: List[Tuple[int, ...]] = [tuple(c)
                                                 for c in pcnf.matrix.clauses]
-        self._budget = Budget.unlimited()
-        self._deadline: float | None = None
+        self._budget = Budget().start()
+        self._at_start = (0, 0, 0)
 
     # ------------------------------------------------------------------
     def solve(self, budget: Budget | None = None) -> SolveResult:
-        """Run the QDPLL search to completion or budget exhaustion."""
-        self._budget = budget or Budget.unlimited()
-        if self._budget.deadline is not None:
-            # An armed budget shares one deadline across calls.
-            self._deadline = self._budget.deadline
-        else:
-            self._deadline = (time.monotonic() + self._budget.max_seconds
-                              if self._budget.max_seconds is not None
-                              else None)
+        """Run the QDPLL search to completion or budget exhaustion.
+
+        Draws from ``budget`` like a SAT kernel call: stops at its
+        deadline, uses at most what its pools hold (a found solution
+        counts as a conflict) and spends what it used on return.
+        """
+        self._budget = (budget or Budget()).start()
+        self._at_start = self._counters()
         self._assign.clear()
         self._trail.clear()
         if any(len(c) == 0 for c in self._clauses):
@@ -96,24 +95,31 @@ class QdpllSolver:
             return self._search()
         except BudgetExceeded:
             return SolveResult.UNKNOWN
+        finally:
+            self._budget.spend(*self._spent())
 
     def assignment(self) -> Dict[int, bool]:
         """The assignment at termination (meaningful prefix: see caller)."""
         return dict(self._assign)
 
     # ------------------------------------------------------------------
+    def _counters(self) -> Tuple[int, int, int]:
+        s = self.stats
+        return s.conflicts + s.solutions, s.decisions, s.propagations
+
+    def _spent(self) -> Tuple[int, int, int]:
+        """(conflicts, decisions, propagations) used by this call."""
+        return tuple(now - then for now, then
+                     in zip(self._counters(), self._at_start))
+
     def _check_budget(self) -> None:
         b = self._budget
-        s = self.stats
-        if b.max_decisions is not None and s.decisions >= b.max_decisions:
-            raise BudgetExceeded("decisions")
-        if b.max_conflicts is not None and \
-                s.conflicts + s.solutions >= b.max_conflicts:
-            raise BudgetExceeded("conflicts")
-        if b.max_propagations is not None and \
-                s.propagations >= b.max_propagations:
-            raise BudgetExceeded("propagations")
-        if self._deadline is not None and time.monotonic() > self._deadline:
+        for used, left in zip(self._spent(),
+                              (b.conflicts_left, b.decisions_left,
+                               b.propagations_left)):
+            if left is not None and used >= left:
+                raise BudgetExceeded("count")
+        if b.deadline is not None and time.monotonic() > b.deadline:
             raise BudgetExceeded("time")
         if stop_requested():
             raise BudgetExceeded("cancelled")

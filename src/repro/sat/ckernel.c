@@ -92,7 +92,7 @@ typedef struct Solver {
     int64_t max_conf, max_dec, max_prop, max_lits;
     double deadline;        /* < 0: none (CLOCK_MONOTONIC seconds)     */
     stop_cb stop;
-    int64_t run_conf, run_dec;
+    int64_t run_conf, run_dec, prop0;   /* prop0: propagations at call entry */
 } Solver;
 
 static inline int lit_val(const Solver *s, int32_t l) {
@@ -672,7 +672,7 @@ API int32_t ck_purge_satisfied(Solver *s) {
 static int budget_exceeded(Solver *s) {
     if (s->run_conf >= s->max_conf) return 1;
     if (s->run_dec >= s->max_dec) return 1;
-    if (s->st[ST_PROPAGATIONS] >= s->max_prop) return 1;
+    if (s->st[ST_PROPAGATIONS] - s->prop0 >= s->max_prop) return 1;
     if (s->st[ST_DB_LITERALS] >= s->max_lits) return 1;
     if (s->deadline >= 0.0) {
         struct timespec ts;
@@ -698,6 +698,7 @@ API int ck_solve(Solver *s, const int32_t *dassumps, int32_t n_ass,
     if (!lits_in_range(dassumps, n_ass)) return -4;
     s->model_n = 0;
     s->core.sz = 0;
+    s->prop0 = s->st[ST_PROPAGATIONS];
     cancel_until(s, 0);
     if (!s->ok) return 0;
     if (ck_propagate_(s)) { s->ok = 0; return 0; }

@@ -65,6 +65,7 @@ _LEARNT = 1
 _DELETED = 2
 
 _UNLIMITED = 1 << 62     # sentinel for "no countable budget limit"
+_NO_LIMITS = Budget().start()
 
 
 def _check_var(v: int) -> None:
@@ -902,14 +903,18 @@ class KernelSolver:
         Returns SAT / UNSAT / UNKNOWN (budget exhausted).  After SAT,
         :meth:`model_value` reads the model; after UNSAT under
         assumptions, :meth:`core` gives the failed-assumption subset.
-        Emits one ``sat.solve`` telemetry span (``core`` names the
-        build) and the ``sat.*`` counters.
+        The call stops at the budget's deadline, uses at most what its
+        pools hold and spends what it used on return (an unstarted
+        budget is started privately for this call).  Emits one
+        ``sat.solve`` telemetry span (``core`` names the build) and the
+        ``sat.*`` counters.
         """
         tracer = current_tracer()
         registry = current_metrics()
-        if not tracer.enabled and not registry.enabled:
-            return self._solve(assumptions, budget)
+        if budget is None and not tracer.enabled and not registry.enabled:
+            return self._solve(assumptions, _NO_LIMITS)
 
+        budget = _NO_LIMITS if budget is None else budget.start()
         stats = self.stats
         before = (stats.conflicts, stats.decisions, stats.propagations,
                   stats.restarts, stats.learned)
@@ -917,15 +922,17 @@ class KernelSolver:
         with tracer.span("sat.solve", assumptions=len(assumptions),
                          core=self.backend) as sp:
             result = self._solve(assumptions, budget)
-            sp.set(result=result.name,
-                   conflicts=stats.conflicts - before[0],
-                   decisions=stats.decisions - before[1],
-                   propagations=stats.propagations - before[2],
+            spent = (stats.conflicts - before[0],
+                     stats.decisions - before[1],
+                     stats.propagations - before[2])
+            sp.set(result=result.name, conflicts=spent[0],
+                   decisions=spent[1], propagations=spent[2],
                    db_literals=stats.db_literals)
+        budget.spend(*spent)
         registry.inc("sat.solve_calls")
-        registry.inc("sat.conflicts", stats.conflicts - before[0])
-        registry.inc("sat.decisions", stats.decisions - before[1])
-        registry.inc("sat.propagations", stats.propagations - before[2])
+        registry.inc("sat.conflicts", spent[0])
+        registry.inc("sat.decisions", spent[1])
+        registry.inc("sat.propagations", spent[2])
         registry.inc("sat.restarts", stats.restarts - before[3])
         registry.inc("sat.learned", stats.learned - before[4])
         registry.gauge("sat.db_literals", stats.db_literals)
@@ -933,43 +940,30 @@ class KernelSolver:
         registry.observe("sat.solve_seconds", time.monotonic() - start)
         return result
 
-    def _solve(self, assumptions: Sequence[int] = (),
-               budget: Budget | None = None) -> SolveResult:
-        """Uninstrumented body of :meth:`solve`."""
+    def _solve(self, assumptions: Sequence[int],
+               budget: Budget) -> SolveResult:
+        """Uninstrumented body of :meth:`solve` (``budget`` started)."""
         internal = [to_internal(l) for l in assumptions]
         for l in internal:
             self.ensure_vars(l >> 1)
         self.stats.solve_calls += 1
-        b = budget or Budget.unlimited()
-        if b.deadline is not None:
-            self._deadline = b.deadline
-        else:
-            self._deadline = (time.monotonic() + b.max_seconds
-                              if b.max_seconds is not None else None)
-        self._lim_conflicts = (b.max_conflicts
-                               if b.max_conflicts is not None
-                               else _UNLIMITED)
-        self._lim_decisions = (b.max_decisions
-                               if b.max_decisions is not None
-                               else _UNLIMITED)
-        self._lim_propagations = (b.max_propagations
-                                  if b.max_propagations is not None
-                                  else _UNLIMITED)
-        self._lim_literals = (b.max_literals
-                              if b.max_literals is not None
-                              else _UNLIMITED)
-        self._run_conflicts = 0
-        self._run_decisions = 0
         self._model = []
         self._core = []
-        # An already-expired deadline (or a pending cancellation) must
-        # stop the call here: easy queries can be decided purely by
-        # level-0 propagation, which never reaches the in-search
-        # budget checkpoints.
-        if (self._deadline is not None
-                and time.monotonic() > self._deadline) or stop_requested():
-            self._deadline = None
+        # An exhausted budget (or a pending cancellation) must stop the
+        # call here: easy queries can be decided purely by level-0
+        # propagation, which never reaches the in-search budget
+        # checkpoints.
+        if budget.exhausted() or stop_requested():
             return SolveResult.UNKNOWN
+        self._deadline = budget.deadline
+        self._lim_conflicts = _lim(budget.conflicts_left)
+        self._lim_decisions = _lim(budget.decisions_left)
+        # Counted per call, like conflicts and decisions.
+        self._lim_propagations = (self.stats.propagations
+                                  + _lim(budget.propagations_left))
+        self._lim_literals = _lim(budget.max_literals)
+        self._run_conflicts = 0
+        self._run_decisions = 0
         self._cancel_until(0)
         if not self.ok:
             return SolveResult.UNSAT
@@ -1287,30 +1281,22 @@ class _CKernelSolver(KernelSolver):
         group retirement); returns the number purged."""
         return self._lib.ck_purge_satisfied(self._h)
 
-    def _solve(self, assumptions: Sequence[int] = (),
-               budget: Budget | None = None) -> SolveResult:
+    def _solve(self, assumptions: Sequence[int],
+               budget: Budget) -> SolveResult:
         """Uninstrumented body of :meth:`solve` (C core dispatch)."""
         assumps = _int32_lits(assumptions)
         self.stats.solve_calls += 1
-        b = budget or Budget.unlimited()
-        if b.deadline is not None:
-            deadline = b.deadline
-        elif b.max_seconds is not None:
-            deadline = time.monotonic() + b.max_seconds
-        else:
-            deadline = -1.0
-        # Pre-expired deadlines / pending cancellations must stop the
-        # call before level-0 propagation, like the interpreted build.
-        if (deadline >= 0.0 and time.monotonic() > deadline) \
-                or stop_requested():
+        # Exhausted budgets / pending cancellations must stop the call
+        # before level-0 propagation, like the interpreted build.
+        if budget.exhausted() or stop_requested():
             return SolveResult.UNKNOWN
         probe = _STOP_PROBE if stop_check_installed() \
             else _ckernel.STOP_CB()
         res = self._lib.ck_solve(
             self._h, *assumps.buffer_info(),
-            _lim(b.max_conflicts), _lim(b.max_decisions),
-            _lim(b.max_propagations), _lim(b.max_literals),
-            deadline, probe)
+            _lim(budget.conflicts_left), _lim(budget.decisions_left),
+            _lim(budget.propagations_left), _lim(budget.max_literals),
+            -1.0 if budget.deadline is None else budget.deadline, probe)
         if res == 1:
             return SolveResult.SAT
         if res == 0:

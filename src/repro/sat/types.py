@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import time
-from typing import Callable, Optional
+from typing import Any, Callable, Dict, Optional
 
 __all__ = ["SolveResult", "Budget", "BudgetExceeded", "to_internal",
            "from_internal", "install_stop_check", "stop_requested",
@@ -85,20 +85,26 @@ def stop_check_installed() -> bool:
 
 
 class Budget:
-    """Resource limits for a solver run.
+    """Resource limits for a solver run, and the pool that enforces them.
 
     Any limit set to None is unlimited.  ``max_literals`` caps the total
     number of literals resident in the clause database — the analogue of
     the paper's 1 GB memory limit.
 
-    ``max_seconds`` by itself is a *per-call* allowance: every solver
-    call measures its own slice, so a deepening loop that reuses one
-    budget grants each of its O(max_bound) SAT calls a fresh full
-    window.  Call :meth:`arm` to pin the wall-clock limit to one shared
-    deadline instead — armed once, consumed across every call that
-    carries this budget object (the unbounded provers and
-    ``verify_unbounded`` arm their budget at loop entry).
+    A budget is *started* once per entry point: :meth:`start` pins the
+    wall-clock deadline to now + ``max_seconds`` and opens the
+    conflict, decision and propagation pools.  Every solver call that
+    receives the started object draws from the same pools (solvers
+    :meth:`spend` what they used when they return) and stops at the
+    same deadline, so a deepening loop, a bound sweep or a batch of
+    properties shares one limit.  Passing an unstarted budget keeps it
+    private to that call: the callee starts its own copy, and the
+    caller's object is never mutated.
     """
+
+    #: The limit fields, in wire order (see :meth:`as_dict`).
+    FIELDS = ("max_conflicts", "max_decisions", "max_propagations",
+              "max_seconds", "max_literals")
 
     def __init__(self,
                  max_conflicts: int | None = None,
@@ -111,47 +117,73 @@ class Budget:
         self.max_propagations = max_propagations
         self.max_seconds = max_seconds
         self.max_literals = max_literals
+        self.started = False
         self.deadline: Optional[float] = None
+        self.conflicts_left: Optional[int] = None
+        self.decisions_left: Optional[int] = None
+        self.propagations_left: Optional[int] = None
 
-    @staticmethod
-    def unlimited() -> "Budget":
-        return Budget()
-
-    def arm(self) -> "Budget":
-        """Fix the wall-clock limit to one shared deadline, now.
-
-        Idempotent: the first call stamps ``deadline = now +
-        max_seconds``; later calls (and every solver call consuming
-        this object) see the same instant.  A budget without
-        ``max_seconds`` arms to nothing.  Returns self for chaining.
-        """
-        if self.deadline is None and self.max_seconds is not None:
-            self.deadline = time.monotonic() + self.max_seconds
-        return self
-
-    def expired(self) -> bool:
-        """True once an armed deadline has passed (False when unarmed)."""
-        return self.deadline is not None \
-            and time.monotonic() > self.deadline
-
-    def scaled(self, factor: float) -> "Budget":
-        """A copy with all countable limits multiplied by ``factor``."""
-        def mul(x: int | None) -> int | None:
-            return None if x is None else max(1, int(x * factor))
-
-        out = Budget(mul(self.max_conflicts), mul(self.max_decisions),
-                     mul(self.max_propagations),
-                     None if self.max_seconds is None
-                     else self.max_seconds * factor,
-                     mul(self.max_literals))
+    def start(self) -> "Budget":
+        """The started form of this budget: itself when already
+        started, else a started copy (deadline = now + ``max_seconds``,
+        full pools) that leaves this object unstarted."""
+        if self.started:
+            return self
+        out = Budget(*(getattr(self, f) for f in Budget.FIELDS))
+        out.started = True
+        if self.max_seconds is not None:
+            out.deadline = time.monotonic() + self.max_seconds
+        out.conflicts_left = self.max_conflicts
+        out.decisions_left = self.max_decisions
+        out.propagations_left = self.max_propagations
         return out
 
-    def __repr__(self) -> str:  # pragma: no cover
-        parts = []
-        for name in ("max_conflicts", "max_decisions", "max_propagations",
-                     "max_seconds", "max_literals"):
-            val = getattr(self, name)
-            if val is not None:
-                parts.append(f"{name}={val}")
-        return "Budget(" + ", ".join(parts) + ")"
+    def spend(self, conflicts: int = 0, decisions: int = 0,
+              propagations: int = 0) -> None:
+        """Draw one call's work down from the pools (no-op when
+        unstarted)."""
+        if self.conflicts_left is not None:
+            self.conflicts_left -= conflicts
+        if self.decisions_left is not None:
+            self.decisions_left -= decisions
+        if self.propagations_left is not None:
+            self.propagations_left -= propagations
 
+    def exhausted(self) -> bool:
+        """True once the deadline has passed or a pool is empty (never
+        for an unstarted budget)."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            return True
+        return any(left is not None and left <= 0
+                   for left in (self.conflicts_left, self.decisions_left,
+                                self.propagations_left))
+
+    def as_dict(self) -> Dict[str, Any]:
+        """The wire form: the limits of an unstarted budget, or what a
+        started one has left (seconds to the deadline, counts left in
+        the pools, each floored so a remote lane still gets a budget)."""
+        if not self.started:
+            return {f: getattr(self, f) for f in Budget.FIELDS}
+
+        def floor(left: Optional[int]) -> Optional[int]:
+            return None if left is None else max(1, left)
+        return {"max_conflicts": floor(self.conflicts_left),
+                "max_decisions": floor(self.decisions_left),
+                "max_propagations": floor(self.propagations_left),
+                "max_seconds": None if self.deadline is None
+                else max(1e-3, self.deadline - time.monotonic()),
+                "max_literals": self.max_literals}
+
+    @classmethod
+    def from_dict(cls, data: Optional[Dict[str, Any]]
+                  ) -> Optional["Budget"]:
+        """Inverse of :meth:`as_dict` (None stays None); the result is
+        unstarted."""
+        if data is None:
+            return None
+        return cls(**{f: data.get(f) for f in cls.FIELDS})
+
+    def __repr__(self) -> str:  # pragma: no cover
+        parts = [f"{name}={getattr(self, name)}" for name in Budget.FIELDS
+                 if getattr(self, name) is not None]
+        return "Budget(" + ", ".join(parts) + ")"

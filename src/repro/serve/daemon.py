@@ -45,11 +45,11 @@ from ..bmc.backend import ALL_METHODS, BmcResult, BoundResult, SweepResult
 from ..models import FAMILIES, build_suite
 from ..portfolio.cache import (MemoryCache, ResultCache, cacheable,
                                cell_key)
-from ..portfolio.ipc import (budget_from_dict, decode_trace, encode_outcome,
+from ..portfolio.ipc import (decode_trace, encode_outcome,
                              encode_sweep_outcome, encode_trace,
                              make_cell_payload, strip_run_keys)
 from ..reduce import identity_reduction, reduce_for_target
-from ..sat.types import SolveResult
+from ..sat.types import Budget, SolveResult
 from ..telemetry.metrics import current_metrics
 from ..telemetry.trace import current_tracer
 from .bridge import PoolBridge
@@ -327,7 +327,7 @@ class ServeDaemon:
         system = reduction.system
         final = (instance.final if reduction.is_identity
                  else reduction.map_expr(instance.final))
-        budget = budget_from_dict(spec["budget"])
+        budget = Budget.from_dict(spec["budget"])
         # The key fingerprints the *reduced* query, so equal cones
         # coalesce; reduce="off" in the key/payload because the worker
         # receives the already-reduced system.

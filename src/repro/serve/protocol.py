@@ -20,6 +20,8 @@ import difflib
 import json
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from ..sat.types import Budget
+
 __all__ = ["PROTOCOL_VERSION", "ProtocolError", "validate_request",
            "encode_line", "decode_line", "ok_response", "error_response",
            "OPS"]
@@ -93,26 +95,22 @@ def _bool(name: str) -> Callable[[Any], Any]:
     return check
 
 
-_BUDGET_FIELDS = ("max_conflicts", "max_decisions", "max_propagations",
-                  "max_seconds", "max_literals")
-
-
 def _budget_dict(name: str) -> Callable[[Any], Any]:
     def check(value: Any) -> Dict[str, Any]:
         if not isinstance(value, dict):
             raise ProtocolError(f"field {name!r} must be an object "
                                 f"with budget limits")
         for key, limit in value.items():
-            if key not in _BUDGET_FIELDS:
+            if key not in Budget.FIELDS:
                 raise ProtocolError(
                     f"unknown budget limit {key!r}"
-                    + _suggest(key, _BUDGET_FIELDS))
+                    + _suggest(key, Budget.FIELDS))
             if limit is not None and (isinstance(limit, bool)
                                       or not isinstance(limit, (int, float))
                                       or limit < 0):
                 raise ProtocolError(f"budget limit {key!r} must be a "
                                     f"non-negative number or null")
-        return {k: value.get(k) for k in _BUDGET_FIELDS}
+        return Budget.from_dict(value).as_dict()
     return check
 
 

@@ -18,7 +18,7 @@ capped at :data:`MAX_WIDTH`) so cheap shallow probes run first and
 the expensive wide packs only spin up for properties that resist.
 The walk is deterministic for a given seed — reproducibility beats
 entropy in a test tier — and cooperatively cancellable: the global
-:func:`~repro.sat.types.stop_requested` probe plus any armed wall
+:func:`~repro.sat.types.stop_requested` probe plus the started
 budget are consulted every frame.
 
 This tier is one-sided: it can only ever report SAT (a validated
@@ -109,7 +109,7 @@ def falsify(system: TransitionSystem, target: Expr, k: int, *,
     if seed is None:
         seed = _default_seed(system, target, k)
     if budget is not None:
-        budget.arm()
+        budget = budget.start()
 
     out = SimOutcome(ops=net.num_ops())
     start = time.monotonic()
@@ -141,7 +141,7 @@ def _should_stop(stop_check: Optional[Callable[[], bool]],
         return True
     if stop_check is not None and stop_check():
         return True
-    return budget is not None and budget.expired()
+    return budget is not None and budget.exhausted()
 
 
 def _run(net: CompiledNet, k: int, semantics: str, width: int,

@@ -348,6 +348,8 @@ class PropertyChecker:
               budget: Budget | None = None) -> PropertyResult:
         """Check one registered property at bound k (within-k search)."""
         prop = self._select([name])[name]
+        if budget is not None:
+            budget = budget.start()
         return self._query(name, prop, k, budget, escalate=True)
 
     def check_all(self, k: int, names: Optional[Sequence[str]] = None,
@@ -357,28 +359,22 @@ class PropertyChecker:
         """Check every (selected) property at bound k over one unrolling
         per cone.
 
-        ``budget`` is a shared pool across the whole batch (one
-        deadline, one conflict pool), mirroring the sweep contract.
+        ``budget`` is started once and shared by the whole batch (one
+        deadline, one set of pools), mirroring the sweep contract.
         """
-        from ..bmc.backend import SweepBudget  # deferred: bmc imports spec
         if k < 0:
             raise ValueError("bound k must be non-negative")
         selected = self._select(names)
-        tracker = SweepBudget(budget)
+        if budget is not None:
+            budget = budget.start()
         out: Dict[str, PropertyResult] = {}
         for name, prop in selected.items():
-            if tracker.exhausted():
+            if budget is not None and budget.exhausted():
                 result = PropertyResult(name, prop, Verdict.UNKNOWN,
                                         False, SolveResult.UNKNOWN, k,
                                         None, 0.0, {})
             else:
-                result = self._query(name, prop, k,
-                                     tracker.remaining(), escalate=True)
-                tracker.charge(
-                    conflicts=result.stats.get("solver_conflicts", 0),
-                    decisions=result.stats.get("solver_decisions", 0),
-                    propagations=result.stats.get("solver_propagations",
-                                                  0))
+                result = self._query(name, prop, k, budget, escalate=True)
             out[name] = result
             if on_result is not None:
                 on_result(result)
@@ -395,13 +391,15 @@ class PropertyChecker:
         counterexample for universal claims, earliest witness for
         Reachable).  Properties never witnessed get their bounded
         verdict at ``max_k``.  ``on_bound(name, BoundResult)`` streams
-        every (property, bound) record as it lands.
+        every (property, bound) record as it lands.  ``budget`` is
+        started once and shared by every query of the sweep.
         """
-        from ..bmc.backend import BoundResult, SweepBudget
+        from ..bmc.backend import BoundResult  # deferred: bmc imports spec
         if max_k < 0:
             raise ValueError("max_k must be non-negative")
         selected = self._select(names)
-        tracker = SweepBudget(budget)
+        if budget is not None:
+            budget = budget.start()
         sweep_start = time.perf_counter()
         out: Dict[str, PropertyResult] = {}
         pending = dict(selected)
@@ -410,19 +408,13 @@ class PropertyChecker:
                 break
             for name in list(pending):
                 prop = pending[name]
-                if tracker.exhausted():
+                if budget is not None and budget.exhausted():
                     out[name] = PropertyResult(
                         name, prop, Verdict.UNKNOWN, False,
                         SolveResult.UNKNOWN, k, None, 0.0, {})
                     del pending[name]
                     continue
-                result = self._query(name, prop, k,
-                                     tracker.remaining())
-                tracker.charge(
-                    conflicts=result.stats.get("solver_conflicts", 0),
-                    decisions=result.stats.get("solver_decisions", 0),
-                    propagations=result.stats.get("solver_propagations",
-                                                  0))
+                result = self._query(name, prop, k, budget)
                 if on_bound is not None:
                     on_bound(name, BoundResult(
                         k, result.status, result.trace, result.seconds,
@@ -435,8 +427,8 @@ class PropertyChecker:
             # upgraded to a conclusive proof when the paired prover
             # closes one within the remaining budget.
             out[name] = self._bounded_verdict(
-                name, prop, max_k, tracker.remaining(),
-                escalate=not tracker.exhausted())
+                name, prop, max_k, budget,
+                escalate=budget is None or not budget.exhausted())
         return {name: out[name] for name in selected}
 
     # ------------------------------------------------------------------
@@ -592,8 +584,8 @@ class PropertyChecker:
                     invariant = proof.invariant
                     stats["prover"] = self.prover
                     stats["prover_seconds"] = proof.seconds
-                    # Fold the prover's solver work into the shared
-                    # counters so batch budgets charge for it.
+                    # Fold the prover's solver work into the reported
+                    # counters (its solvers already spent the budget).
                     for counter in ("solver_conflicts", "solver_decisions",
                                     "solver_propagations"):
                         stats[counter] = (stats.get(counter, 0)

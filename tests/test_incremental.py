@@ -9,7 +9,6 @@ cache), and the uniform within-mode trace shortening.
 import pytest
 
 from repro.bmc import METHODS, BmcSession, IncrementalBmc
-from repro.bmc.incremental import SweepBudget
 from repro.bmc.jsat import JsatSolver
 from repro.models import counter, gray, mutex, shift_register
 from repro.sat.types import Budget, SolveResult
@@ -163,22 +162,6 @@ class TestIncrementalBmc:
             IncrementalBmc(system, final).sweep(-1)
         with pytest.raises(ValueError):
             IncrementalBmc(system, final).check_bound(-2)
-
-
-class TestSweepBudget:
-    def test_unlimited_never_exhausts(self):
-        tracker = SweepBudget(None)
-        tracker.charge(conflicts=10 ** 9)
-        assert not tracker.exhausted()
-        assert tracker.remaining() is None
-
-    def test_conflict_pool_drains(self):
-        tracker = SweepBudget(Budget(max_conflicts=100))
-        assert tracker.remaining().max_conflicts == 100
-        tracker.charge(conflicts=60)
-        assert tracker.remaining().max_conflicts == 40
-        tracker.charge(conflicts=60)
-        assert tracker.exhausted()
 
 
 class TestEngineSweep:

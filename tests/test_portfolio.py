@@ -21,10 +21,9 @@ from repro.harness.runner import run_matrix
 from repro.logic import expr as ex
 from repro.models import build_suite, counter
 from repro.portfolio import (BatchScheduler, ResultCache, Task, WorkerPool,
-                             budget_from_dict, budget_to_dict, cell_key,
-                             decode_outcome, encode_outcome, execute_cell,
-                             fingerprint_expr, fingerprint_system,
-                             make_cell_payload, race)
+                             cell_key, decode_outcome, encode_outcome,
+                             execute_cell, fingerprint_expr,
+                             fingerprint_system, make_cell_payload, race)
 from repro.portfolio.scheduler import hardness_estimate
 from repro.sat.types import Budget, SolveResult
 
@@ -86,11 +85,11 @@ class TestIpc:
 
     def test_budget_dict_roundtrip(self):
         budget = Budget(max_conflicts=7, max_seconds=1.5)
-        back = budget_from_dict(budget_to_dict(budget))
+        back = Budget.from_dict(budget.as_dict())
         assert back.max_conflicts == 7
         assert back.max_seconds == 1.5
         assert back.max_literals is None
-        assert budget_from_dict(None) is None
+        assert Budget.from_dict(None) is None
 
     def test_outcome_roundtrip_with_trace(self):
         system, final, depth = counter.make(3, 5)

@@ -134,7 +134,7 @@ class TestDiameterAtZero:
 
 
 class TestBudgetDeadline:
-    """Satellite: one shared wall-clock deadline, armed once."""
+    """One shared wall-clock deadline, started once per loop."""
 
     @staticmethod
     def _big_safe_system(bits=12):
@@ -169,7 +169,7 @@ class TestBudgetDeadline:
         start = time.perf_counter()
         prove(system, bad, budget)
         elapsed = time.perf_counter() - start
-        # A per-rung re-armed budget would grant 0.15 s to each of up
+        # A per-rung restarted budget would grant 0.15 s to each of up
         # to 4096 rungs; the shared deadline caps the whole loop.
         assert elapsed < 3.0
 

@@ -223,7 +223,7 @@ def stop_everything():
 
 
 def _expired_budget():
-    return Budget(max_seconds=0).arm()
+    return Budget(max_seconds=0).start()
 
 
 def _checker():
